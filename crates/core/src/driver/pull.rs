@@ -783,7 +783,6 @@ impl Cluster {
         d.credits.waiters.push_back(handle);
         if d.credits.outstanding >= d.credits.budget {
             self.stats.credit_stalls += 1;
-            self.metrics.count(node.0, "credit.stalls", 1);
         }
     }
 
@@ -920,7 +919,6 @@ impl Cluster {
         cr.budget += 1;
         cr.last_regrow = now;
         self.stats.credit_regrows += 1;
-        self.metrics.count(node.0, "credit.regrows", 1);
     }
 
     /// The RX ring dropped a frame: shed load. Shrinks the budget
@@ -940,7 +938,6 @@ impl Cluster {
             return;
         }
         self.stats.credit_shrinks += 1;
-        self.metrics.count(node.0, "credit.shrinks", 1);
         let Some((frag_src_ep, frag_dst_ep, recv_handle)) = peek else {
             return;
         };
@@ -960,7 +957,6 @@ impl Cluster {
         };
         self.send_packet(sim, node, src_node, &pkt, now);
         self.stats.credit_nacks += 1;
-        self.metrics.count(node.0, "credit.nacks", 1);
     }
 
     /// Occupancy probe on the frame-queued path: crossing the high
@@ -974,7 +970,6 @@ impl Cluster {
             && self.credit_shrink(node, now)
         {
             self.stats.credit_shrinks += 1;
-            self.metrics.count(node.0, "credit.shrinks", 1);
         }
     }
 }

@@ -333,7 +333,6 @@ impl Cluster {
             st.rto = next_rto;
         }
         self.stats.retransmissions += 1;
-        self.metrics.count(me.node.0, "driver.retransmissions", 1);
         self.metrics.trace(
             sim.now(),
             me.node.0,
@@ -397,7 +396,6 @@ impl Cluster {
             self.node_mut(me.node).driver.tx_large.remove(&h);
         }
         self.stats.sends_failed += 1;
-        self.metrics.count(me.node.0, "driver.send_failures", 1);
         self.metrics.trace(
             sim.now(),
             me.node.0,

@@ -166,74 +166,105 @@ impl App for FaninReceiver {
     }
 }
 
-/// Run one fan-in experiment.
+/// What the receiving node's shard measured.
+struct ReceiverSide {
+    shared: SharedState,
+    bh_busy_per_core: Vec<Ps>,
+    gro_coalesced: u64,
+}
+
+/// Run one fan-in experiment (partitioned per
+/// `cfg.params.partitions`; results are identical for every value).
 pub fn run_fanin(cfg: FaninConfig) -> FaninResult {
     assert_eq!(cfg.params.nodes as u32, 1 + SENDERS, "fan-in topology");
-    let shared = Rc::new(RefCell::new(SharedState::default()));
     let total = SENDERS * cfg.count;
-    let mut cluster = Cluster::new(cfg.params.clone());
-    let mut sim: Sim<Cluster> = Sim::with_wheel_levels(cluster.p.cfg.wheel_levels);
-    // Receiver endpoints on the odd cores (1, 3, 5, 7).
-    for e in 0..RECV_ENDPOINTS {
-        let quota = total / RECV_ENDPOINTS;
-        cluster.add_endpoint(
-            NodeId(0),
-            CoreId(1 + 2 * e),
-            Box::new(FaninReceiver {
-                size: cfg.size,
-                to_post: quota,
-                quota,
-                got: 0,
-                shared: shared.clone(),
-            }),
-        );
-    }
-    // Sender s (node s+1) targets receiver endpoint s % RECV_ENDPOINTS.
-    for s in 0..SENDERS {
-        let peer = EpAddr {
-            node: NodeId(0),
-            ep: EpIdx((s % RECV_ENDPOINTS) as u8),
-        };
-        cluster.add_endpoint(
-            NodeId(1 + s),
-            CoreId(2),
-            Box::new(FaninSender {
-                peer,
-                size: cfg.size,
-                count: cfg.count,
-                sent: 0,
-            }),
-        );
-    }
-    cluster.start(&mut sim);
-    sim.run(&mut cluster);
-    let sh = shared.borrow();
+    let (size, count) = (cfg.size, cfg.count);
+    let install = |cluster: &mut Cluster, _shard: usize| {
+        let shared = Rc::new(RefCell::new(SharedState::default()));
+        // Receiver endpoints on the odd cores (1, 3, 5, 7).
+        if cluster.owns(NodeId(0)) {
+            for e in 0..RECV_ENDPOINTS {
+                let quota = total / RECV_ENDPOINTS;
+                cluster.add_endpoint(
+                    NodeId(0),
+                    CoreId(1 + 2 * e),
+                    Box::new(FaninReceiver {
+                        size,
+                        to_post: quota,
+                        quota,
+                        got: 0,
+                        shared: shared.clone(),
+                    }),
+                );
+            }
+        }
+        // Sender s (node s+1) targets receiver endpoint s % RECV_ENDPOINTS.
+        for s in 0..SENDERS {
+            if !cluster.owns(NodeId(1 + s)) {
+                continue;
+            }
+            let peer = EpAddr {
+                node: NodeId(0),
+                ep: EpIdx((s % RECV_ENDPOINTS) as u8),
+            };
+            cluster.add_endpoint(
+                NodeId(1 + s),
+                CoreId(2),
+                Box::new(FaninSender {
+                    peer,
+                    size,
+                    count,
+                    sent: 0,
+                }),
+            );
+        }
+        shared
+    };
+    let finish = |_shard: usize,
+                  _sim: &mut Sim<Cluster>,
+                  cluster: &mut Cluster,
+                  shared: Rc<RefCell<SharedState>>| {
+        if !cluster.owns(NodeId(0)) {
+            return None;
+        }
+        let recv_node = cluster.node(NodeId(0));
+        let bh_busy_per_core = cluster
+            .p
+            .topology
+            .cores()
+            .map(|c| {
+                let core = recv_node.cpus.core(c);
+                core.busy_in(category::BH) + core.busy_in(category::IRQ)
+            })
+            .collect();
+        Some(ReceiverSide {
+            shared: shared.take(),
+            bh_busy_per_core,
+            gro_coalesced: cluster.metrics.counter(0, "bh.gro_coalesced"),
+        })
+    };
+    let (run, shards) = crate::partition::run_partitioned(cfg.params, install, finish);
+    let rx = shards
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("the receiver node ran");
+    let sh = &rx.shared;
     assert_eq!(sh.received, total, "fan-in did not complete");
     let elapsed = sh.last_recv - sh.first_post;
     let horizon = elapsed.max(Ps::ps(1));
-    let recv_node = cluster.node(NodeId(0));
-    let bh_busy_per_core = cluster
-        .p
-        .topology
-        .cores()
-        .map(|c| {
-            let core = recv_node.cpus.core(c);
-            core.busy_in(category::BH) + core.busy_in(category::IRQ)
-        })
-        .collect();
-    let bytes = cfg.size * total as u64;
-    let (clean_wire, end_skbuffs_held, end_pinned_regions) = super::drain_check(&cluster);
+    let bytes = size * total as u64;
     FaninResult {
         throughput_mibs: bytes as f64 / horizon.as_secs_f64() / (1u64 << 20) as f64,
         elapsed,
-        verified: sh.corrupt == 0 && cluster.stats.sends_failed == 0 && clean_wire,
-        events_executed: sim.events_executed(),
-        bh_busy_per_core,
-        gro_coalesced: cluster.metrics.counter(0, "bh.gro_coalesced"),
-        stats: cluster.stats_snapshot(),
-        breakdown: super::ComponentBreakdown::from_cluster(&cluster, horizon),
-        end_skbuffs_held,
-        end_pinned_regions,
+        verified: sh.corrupt == 0 && run.stats.sends_failed == 0 && run.clean_wire,
+        events_executed: run.events,
+        bh_busy_per_core: rx.bh_busy_per_core,
+        gro_coalesced: rx.gro_coalesced,
+        breakdown: super::ComponentBreakdown::from_totals(&run.busy, horizon),
+        end_skbuffs_held: run.end_skbuffs_held,
+        end_pinned_regions: run.end_pinned_regions,
+        stats: run.stats,
     }
 }
 

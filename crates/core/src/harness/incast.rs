@@ -197,23 +197,6 @@ impl App for IncastReceiver {
     }
 }
 
-/// Per-shard reduction of one (possibly partitioned) incast run. The
-/// receiver node (0) lives on exactly one shard, so `window` is `Some`
-/// there and `None` on pure-sender shards; with `partitions = 1` the
-/// merge is the identity and the result matches the historical
-/// single-engine harness byte for byte.
-struct ShardTally {
-    received: u32,
-    corrupt: u64,
-    /// `(first_post, last_recv)` on the receiver's shard.
-    window: Option<(Ps, Ps)>,
-    stats: crate::cluster::Stats,
-    busy: super::BusyTotals,
-    events: u64,
-    skbuffs: u64,
-    pinned: u64,
-}
-
 /// Run one incast experiment (partitioned per
 /// `cfg.params.partitions`; results are identical for every value).
 pub fn run_incast(cfg: IncastConfig) -> IncastResult {
@@ -221,7 +204,6 @@ pub fn run_incast(cfg: IncastConfig) -> IncastResult {
     let expected = cfg.senders * cfg.count;
     let (senders, size, count) = (cfg.senders, cfg.size, cfg.count);
     let frag_size = cfg.params.cfg.frag_size;
-    let faults_active = cfg.params.cfg.fault_injection_active();
     let install = |cluster: &mut Cluster, _shard: usize| {
         let shared = Rc::new(RefCell::new(SharedState::default()));
         // Receiver endpoints on the odd cores (1, 3, 5, 7). Flows are
@@ -262,50 +244,27 @@ pub fn run_incast(cfg: IncastConfig) -> IncastResult {
         }
         shared
     };
+    // The receiver node (0) lives on exactly one shard: its collector
+    // carries the receive window, pure-sender shards report `None`.
     let finish = |_shard: usize,
-                  sim: &mut Sim<Cluster>,
+                  _sim: &mut Sim<Cluster>,
                   cluster: &mut Cluster,
                   shared: Rc<RefCell<SharedState>>| {
-        // Thread-local sanitizer: quiesce on the worker that ran this
-        // shard.
-        omx_sim::sanitize::SimSanitizer::assert_quiesced();
-        let sh = shared.borrow();
-        let (skbuffs, pinned) = super::leak_counts(cluster);
-        ShardTally {
-            received: sh.received,
-            corrupt: sh.corrupt,
-            window: cluster
-                .owns(NodeId(0))
-                .then_some((sh.first_post, sh.last_recv)),
-            stats: cluster.stats_snapshot(),
-            busy: super::BusyTotals::of(cluster),
-            events: sim.events_executed(),
-            skbuffs,
-            pinned,
-        }
+        let sh = shared.take();
+        let window = cluster
+            .owns(NodeId(0))
+            .then_some((sh.first_post, sh.last_recv));
+        (sh.received, sh.corrupt, window)
     };
-    let tallies = crate::partition::run_partitioned(cfg.params, install, finish);
-    let mut stats: Option<crate::cluster::Stats> = None;
-    let mut busy = super::BusyTotals::default();
+    let (run, shards) = crate::partition::run_partitioned(cfg.params, install, finish);
     let (mut delivered, mut corrupt) = (0u32, 0u64);
-    let (mut events, mut skbuffs, mut pinned) = (0u64, 0u64, 0u64);
     let mut window = None;
-    for t in tallies {
-        delivered += t.received;
-        corrupt += t.corrupt;
-        if t.window.is_some() {
-            window = t.window;
-        }
-        match &mut stats {
-            None => stats = Some(t.stats),
-            Some(s) => s.absorb(&t.stats),
-        }
-        busy.absorb(&t.busy);
-        events += t.events;
-        skbuffs += t.skbuffs;
-        pinned += t.pinned;
+    for (received, c, w) in shards {
+        delivered += received;
+        corrupt += c;
+        window = window.or(w);
     }
-    let stats = stats.expect("at least one shard");
+    let stats = &run.stats;
     let (first_post, last_recv) = window.expect("the receiver node ran");
     let elapsed = if delivered > 0 {
         last_recv - first_post
@@ -325,7 +284,6 @@ pub fn run_incast(cfg: IncastConfig) -> IncastResult {
     };
     let ring_dropped_injected = stats.frames_ring_dropped_injected;
     let ring_dropped_genuine = stats.frames_ring_dropped - ring_dropped_injected;
-    let clean_wire = super::wire_stayed_clean(faults_active, &stats);
     // Pinned regions are not part of `verified`: with the registration
     // cache enabled (the default) regions legitimately stay pinned
     // after the run. Callers that disable the cache can check the
@@ -333,8 +291,8 @@ pub fn run_incast(cfg: IncastConfig) -> IncastResult {
     let verified = delivered == expected
         && corrupt == 0
         && stats.sends_failed == 0
-        && clean_wire
-        && skbuffs == 0;
+        && run.clean_wire
+        && run.end_skbuffs_held == 0;
     IncastResult {
         senders,
         expected,
@@ -346,11 +304,11 @@ pub fn run_incast(cfg: IncastConfig) -> IncastResult {
         ring_dropped_genuine,
         ring_dropped_injected,
         verified,
-        events_executed: events,
-        breakdown: super::ComponentBreakdown::from_totals(&busy, elapsed.max(Ps::ps(1))),
-        stats,
-        end_skbuffs_held: skbuffs,
-        end_pinned_regions: pinned,
+        events_executed: run.events,
+        breakdown: super::ComponentBreakdown::from_totals(&run.busy, elapsed.max(Ps::ps(1))),
+        end_skbuffs_held: run.end_skbuffs_held,
+        end_pinned_regions: run.end_pinned_regions,
+        stats: run.stats,
     }
 }
 

@@ -104,12 +104,6 @@ impl BusyTotals {
 }
 
 impl ComponentBreakdown {
-    /// Assemble the breakdown from a finished cluster's registry over
-    /// the measurement window `elapsed`.
-    pub fn from_cluster(cluster: &Cluster, elapsed: Ps) -> Self {
-        Self::from_totals(&BusyTotals::of(cluster), elapsed)
-    }
-
     /// Assemble the breakdown from (possibly merged) busy totals.
     pub fn from_totals(t: &BusyTotals, elapsed: Ps) -> Self {
         let accounted = t.wire + t.bh_copy + t.ioat_channel + t.submit_cpu;
@@ -125,47 +119,6 @@ impl ComponentBreakdown {
             idle_ns: ns(idle),
         }
     }
-}
-
-/// End-of-run hygiene shared by every harness: whether the wire stayed
-/// clean enough to call the run `verified`, and the leak detectors.
-///
-/// Returns `(clean_wire, end_skbuffs_held, end_pinned_regions)`.
-/// `clean_wire` is `true` when the configuration deliberately injects
-/// faults (drops are then expected and recovery is what is being
-/// tested) or when no frame was lost to ring overflow or FCS
-/// corruption. The two leak counters must read zero after a drained
-/// run — any held skbuff or (with the registration cache disabled)
-/// pinned region is driver state that escaped cleanup.
-pub fn drain_check(cluster: &Cluster) -> (bool, u64, u64) {
-    // Debug builds: every lifecycle handle (skbuff, pinned region,
-    // I/OAT descriptor, pull handle) must be completed or released by
-    // now — a handle still allocated or in flight is a leak and the
-    // sanitizer panics with its allocation site.
-    omx_sim::sanitize::SimSanitizer::assert_quiesced();
-    let clean_wire = wire_stayed_clean(cluster.p.cfg.fault_injection_active(), &cluster.stats);
-    let (end_skbuffs_held, end_pinned_regions) = leak_counts(cluster);
-    (clean_wire, end_skbuffs_held, end_pinned_regions)
-}
-
-/// The `clean_wire` predicate of [`drain_check`], usable on *merged*
-/// stats of a partitioned run (ring/corrupt drops are global
-/// properties: each drop happened on exactly one shard).
-pub fn wire_stayed_clean(fault_injection_active: bool, stats: &crate::cluster::Stats) -> bool {
-    fault_injection_active || (stats.frames_ring_dropped == 0 && stats.frames_corrupt_dropped == 0)
-}
-
-/// The leak detectors of [`drain_check`], per world (summable across
-/// shards: a shard's unowned nodes never hold driver state).
-pub fn leak_counts(cluster: &Cluster) -> (u64, u64) {
-    let end_skbuffs_held = cluster.nodes.iter().map(|n| n.driver.skbuffs_held).sum();
-    let end_pinned_regions = cluster
-        .nodes
-        .iter()
-        .flat_map(|n| n.endpoints.iter())
-        .map(|e| e.regions.pinned_count() as u64)
-        .sum();
-    (end_skbuffs_held, end_pinned_regions)
 }
 
 /// The message-size sweep used by the paper's throughput figures

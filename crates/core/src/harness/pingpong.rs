@@ -201,23 +201,6 @@ impl App for Ponger {
     }
 }
 
-/// Per-shard reduction of one (possibly partitioned) ping-pong run.
-/// With `partitions = 1` there is exactly one tally and the merge
-/// below is the identity, so the result is byte-identical to the
-/// historical single-engine harness.
-struct ShardTally {
-    rtts: Vec<Ps>,
-    corrupt: u64,
-    /// `Some(done)` on the shard hosting the pinger, `None` elsewhere.
-    done: Option<bool>,
-    stats: crate::cluster::Stats,
-    busy: super::BusyTotals,
-    events: u64,
-    end: Ps,
-    skbuffs: u64,
-    pinned: u64,
-}
-
 /// Run one ping-pong experiment (partitioned per
 /// `cfg.params.partitions`; results are identical for every value).
 pub fn run_pingpong(cfg: PingPongConfig) -> PingPongResult {
@@ -237,7 +220,6 @@ pub fn run_pingpong(cfg: PingPongConfig) -> PingPongResult {
     };
     let size = cfg.size;
     let (iters, warmup) = (cfg.iters, cfg.warmup);
-    let faults_active = cfg.params.cfg.fault_injection_active();
     let install = |cluster: &mut Cluster, _shard: usize| {
         // Each shard only hosts the endpoints of its own nodes; the
         // collector is per shard and merged after the run.
@@ -274,51 +256,25 @@ pub fn run_pingpong(cfg: PingPongConfig) -> PingPongResult {
         }
         (shared, has_pinger)
     };
+    // Each shard reports its collector and whether it hosted the
+    // pinger; only the pinger's shard records round trips.
     let finish = |_shard: usize,
-                  sim: &mut Sim<Cluster>,
-                  cluster: &mut Cluster,
+                  _sim: &mut Sim<Cluster>,
+                  _cluster: &mut Cluster,
                   (shared, has_pinger): (Rc<RefCell<SharedState>>, bool)| {
-        // The leak sanitizer is thread-local: quiesce on the worker
-        // that actually ran this shard's handles.
-        omx_sim::sanitize::SimSanitizer::assert_quiesced();
-        let sh = shared.borrow();
-        let (skbuffs, pinned) = super::leak_counts(cluster);
-        ShardTally {
-            rtts: sh.rtts.clone(),
-            corrupt: sh.corrupt,
-            done: has_pinger.then_some(sh.done),
-            stats: cluster.stats_snapshot(),
-            busy: super::BusyTotals::of(cluster),
-            events: sim.events_executed(),
-            end: sim.now(),
-            skbuffs,
-            pinned,
-        }
+        (shared.take(), has_pinger)
     };
-    let tallies = crate::partition::run_partitioned(cfg.params, install, finish);
+    let (run, shards) = crate::partition::run_partitioned(cfg.params, install, finish);
     let mut rtts = Vec::new();
-    let mut stats: Option<crate::cluster::Stats> = None;
-    let mut busy = super::BusyTotals::default();
-    let (mut corrupt, mut events, mut skbuffs, mut pinned) = (0u64, 0u64, 0u64, 0u64);
-    let mut end_time = Ps::ZERO;
+    let mut corrupt = 0u64;
     let mut done = None;
-    for t in tallies {
-        rtts.extend(t.rtts); // only the pinger's shard contributes
-        corrupt += t.corrupt;
-        if t.done.is_some() {
-            done = t.done;
+    for (sh, has_pinger) in shards {
+        rtts.extend(sh.rtts);
+        corrupt += sh.corrupt;
+        if has_pinger {
+            done = Some(sh.done);
         }
-        match &mut stats {
-            None => stats = Some(t.stats),
-            Some(s) => s.absorb(&t.stats),
-        }
-        busy.absorb(&t.busy);
-        events += t.events;
-        end_time = end_time.max(t.end);
-        skbuffs += t.skbuffs;
-        pinned += t.pinned;
     }
-    let stats = stats.expect("at least one shard");
     assert_eq!(
         done,
         Some(true),
@@ -327,18 +283,17 @@ pub fn run_pingpong(cfg: PingPongConfig) -> PingPongResult {
     let halves: Vec<Ps> = rtts.iter().map(|r| *r / 2).collect();
     let half_rtt = Summary::of(&halves).expect("at least one iteration");
     let throughput_mibs = size as f64 / half_rtt.median.as_secs_f64() / (1u64 << 20) as f64;
-    let clean_wire = super::wire_stayed_clean(faults_active, &stats);
     PingPongResult {
-        verified: corrupt == 0 && stats.sends_failed == 0 && clean_wire,
+        verified: corrupt == 0 && run.stats.sends_failed == 0 && run.clean_wire,
         rtts,
         half_rtt,
         throughput_mibs,
-        events_executed: events,
-        end_time,
-        breakdown: super::ComponentBreakdown::from_totals(&busy, end_time),
-        stats,
-        end_skbuffs_held: skbuffs,
-        end_pinned_regions: pinned,
+        events_executed: run.events,
+        end_time: run.end,
+        breakdown: super::ComponentBreakdown::from_totals(&run.busy, run.end),
+        end_skbuffs_held: run.end_skbuffs_held,
+        end_pinned_regions: run.end_pinned_regions,
+        stats: run.stats,
     }
 }
 

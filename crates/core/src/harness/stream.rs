@@ -164,59 +164,98 @@ impl App for StreamReceiver {
     }
 }
 
-/// Run one stream experiment.
+/// What the receiving node's shard measured: its collector plus the
+/// receive-side CPU utilization over the stream window.
+struct ReceiverSide {
+    shared: SharedState,
+    elapsed: Ps,
+    bh_util: f64,
+    driver_util: f64,
+    user_util: f64,
+    max_skbuffs_held: u64,
+}
+
+/// Run one stream experiment (partitioned per
+/// `cfg.params.partitions`; results are identical for every value).
 pub fn run_stream(cfg: StreamConfig) -> StreamResult {
-    let shared = Rc::new(RefCell::new(SharedState::default()));
+    let (send, recv) = (NodeId(0), NodeId(1));
     let recv_addr = EpAddr {
-        node: NodeId(1),
+        node: recv,
         ep: EpIdx(0),
     };
-    let mut cluster = Cluster::new(cfg.params);
-    let mut sim: Sim<Cluster> = Sim::with_wheel_levels(cluster.p.cfg.wheel_levels);
-    cluster.add_endpoint(
-        NodeId(0),
-        cfg.send_core,
-        Box::new(StreamSender {
-            peer: recv_addr,
-            size: cfg.size,
-            count: cfg.count,
-            sent: 0,
-        }),
-    );
-    cluster.add_endpoint(
-        NodeId(1),
-        cfg.recv_core,
-        Box::new(StreamReceiver {
-            size: cfg.size,
-            count: cfg.count,
-            shared: shared.clone(),
-        }),
-    );
-    cluster.start(&mut sim);
-    sim.run(&mut cluster);
-    let sh = shared.borrow();
-    assert!(sh.done, "stream did not complete");
-    let elapsed = sh.last_recv - sh.first_recv_post;
-    let horizon = elapsed.max(Ps::ps(1));
-    let recv_node = cluster.node(NodeId(1));
-    let meter = recv_node.cpus.merged_meter();
-    let util = |cat: &str| meter.total(cat).as_ps() as f64 / horizon.as_ps() as f64;
-    let bytes = cfg.size * cfg.count as u64;
-    let max_skbuffs_held = recv_node.driver.skbuffs_held_max;
-    let (clean_wire, end_skbuffs_held, end_pinned_regions) = super::drain_check(&cluster);
+    let (size, count) = (cfg.size, cfg.count);
+    let (send_core, recv_core) = (cfg.send_core, cfg.recv_core);
+    let install = |cluster: &mut Cluster, _shard: usize| {
+        let shared = Rc::new(RefCell::new(SharedState::default()));
+        if cluster.owns(send) {
+            cluster.add_endpoint(
+                send,
+                send_core,
+                Box::new(StreamSender {
+                    peer: recv_addr,
+                    size,
+                    count,
+                    sent: 0,
+                }),
+            );
+        }
+        if cluster.owns(recv) {
+            cluster.add_endpoint(
+                recv,
+                recv_core,
+                Box::new(StreamReceiver {
+                    size,
+                    count,
+                    shared: shared.clone(),
+                }),
+            );
+        }
+        shared
+    };
+    let finish = |_shard: usize,
+                  _sim: &mut Sim<Cluster>,
+                  cluster: &mut Cluster,
+                  shared: Rc<RefCell<SharedState>>| {
+        if !cluster.owns(recv) {
+            return None;
+        }
+        let shared = shared.take();
+        let elapsed = shared.last_recv - shared.first_recv_post;
+        let horizon = elapsed.max(Ps::ps(1));
+        let recv_node = cluster.node(recv);
+        let meter = recv_node.cpus.merged_meter();
+        let util = |cat: &str| meter.total(cat).as_ps() as f64 / horizon.as_ps() as f64;
+        Some(ReceiverSide {
+            elapsed,
+            bh_util: util(category::BH) + util(category::IRQ),
+            driver_util: util(category::DRIVER),
+            user_util: util(category::USER_LIB),
+            max_skbuffs_held: recv_node.driver.skbuffs_held_max,
+            shared,
+        })
+    };
+    let (run, shards) = crate::partition::run_partitioned(cfg.params, install, finish);
+    let rx = shards
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("the receiver node ran");
+    assert!(rx.shared.done, "stream did not complete");
+    let horizon = rx.elapsed.max(Ps::ps(1));
+    let bytes = size * count as u64;
     StreamResult {
-        bh_util: util(category::BH) + util(category::IRQ),
-        driver_util: util(category::DRIVER),
-        user_util: util(category::USER_LIB),
+        bh_util: rx.bh_util,
+        driver_util: rx.driver_util,
+        user_util: rx.user_util,
         throughput_mibs: bytes as f64 / horizon.as_secs_f64() / (1u64 << 20) as f64,
-        verified: sh.corrupt == 0 && cluster.stats.sends_failed == 0 && clean_wire,
-        events_executed: sim.events_executed(),
-        max_skbuffs_held,
-        elapsed,
-        breakdown: super::ComponentBreakdown::from_cluster(&cluster, horizon),
-        stats: cluster.stats_snapshot(),
-        end_skbuffs_held,
-        end_pinned_regions,
+        verified: rx.shared.corrupt == 0 && run.stats.sends_failed == 0 && run.clean_wire,
+        events_executed: run.events,
+        max_skbuffs_held: rx.max_skbuffs_held,
+        elapsed: rx.elapsed,
+        breakdown: super::ComponentBreakdown::from_totals(&run.busy, horizon),
+        end_skbuffs_held: run.end_skbuffs_held,
+        end_pinned_regions: run.end_pinned_regions,
+        stats: run.stats,
     }
 }
 

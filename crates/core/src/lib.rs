@@ -45,7 +45,7 @@ pub mod region;
 
 pub use cluster::{Cluster, ClusterParams};
 pub use config::{MsgClass, OmxConfig, StackKind, SyncWaitPolicy};
-pub use partition::{lookahead, run_partitioned};
+pub use partition::{lookahead, run_partitioned, RunTally};
 
 use serde::{Deserialize, Serialize};
 

@@ -17,7 +17,8 @@
 //! [`Sim::run`] sequence, byte-identical to the pre-partitioning
 //! engine by construction.
 
-use crate::cluster::{Cluster, ClusterParams};
+use crate::cluster::{Cluster, ClusterParams, Stats};
+use crate::harness::BusyTotals;
 use crate::NodeId;
 use omx_ethernet::{EthFrame, LinkParams};
 use omx_sim::{run_shards, Ps, Shard, ShardBuilder, Sim};
@@ -158,6 +159,73 @@ pub fn lookahead(link: &LinkParams) -> Ps {
     link.tx_latency + link.propagation + link.rx_latency
 }
 
+/// The harness-independent reduction of one run, merged over every
+/// shard.
+///
+/// Each shard contributes exactly the events, frames, busy intervals
+/// and driver state of the nodes it owns, so integer sums (and the
+/// latest shard clock) equal what one unpartitioned engine reports —
+/// with `partitions = 1` the merge is the identity.
+#[derive(Debug, Clone, Default)]
+pub struct RunTally {
+    /// Aggregate statistics with every endpoint's counters folded in
+    /// ([`Cluster::stats_snapshot`] per shard, then
+    /// [`Stats::absorb`]).
+    pub stats: Stats,
+    /// Integer busy totals behind the component breakdown.
+    pub busy: BusyTotals,
+    /// Engine events executed, summed over shards.
+    pub events: u64,
+    /// Simulation end time (the latest shard clock).
+    pub end: Ps,
+    /// Skbuffs still held by pending copies after the run drained
+    /// (leak detector: must be zero).
+    pub end_skbuffs_held: u64,
+    /// Pinned regions still registered at the end, summed over every
+    /// endpoint (with the registration cache disabled this must be
+    /// zero).
+    pub end_pinned_regions: u64,
+    /// Whether the wire stayed clean enough to call the run verified:
+    /// the configuration deliberately injects faults (drops are then
+    /// expected and recovery is what is tested), or no frame was lost
+    /// to ring overflow or FCS corruption.
+    pub clean_wire: bool,
+}
+
+impl RunTally {
+    /// Reduce one drained shard. Debug builds first assert that every
+    /// lifecycle handle (skbuff, pinned region, I/OAT descriptor, pull
+    /// handle) was completed or released — the sanitizer is
+    /// thread-local, so this runs on the worker that ran the shard.
+    fn of(sim: &Sim<Cluster>, cluster: &Cluster) -> Self {
+        omx_sim::sanitize::SimSanitizer::assert_quiesced();
+        RunTally {
+            stats: cluster.stats_snapshot(),
+            busy: BusyTotals::of(cluster),
+            events: sim.events_executed(),
+            end: sim.now(),
+            end_skbuffs_held: cluster.nodes.iter().map(|n| n.driver.skbuffs_held).sum(),
+            end_pinned_regions: cluster
+                .nodes
+                .iter()
+                .flat_map(|n| n.endpoints.iter())
+                .map(|e| e.regions.pinned_count() as u64)
+                .sum(),
+            // A property of the merged stats: set once every shard is in.
+            clean_wire: false,
+        }
+    }
+
+    fn absorb(&mut self, o: &RunTally) {
+        self.stats.absorb(&o.stats);
+        self.busy.absorb(&o.busy);
+        self.events += o.events;
+        self.end = self.end.max(o.end);
+        self.end_skbuffs_held += o.end_skbuffs_held;
+        self.end_pinned_regions += o.end_pinned_regions;
+    }
+}
+
 /// Run one cluster simulation, partitioned per `params.partitions`
 /// and fanned across `params.partition_workers` threads.
 ///
@@ -165,45 +233,67 @@ pub fn lookahead(link: &LinkParams) -> Ps {
 /// endpoints **only for owned nodes** (`cluster.owns(node)`), in the
 /// same per-node order as the unpartitioned run, and returns whatever
 /// per-shard state the caller's apps share (result collectors etc.).
-/// `finish` reduces each shard after the whole simulation drained; it
-/// runs on the thread that ran the shard. Returns per-shard results in
-/// shard order.
+/// `finish` reduces the caller's own per-shard values after the whole
+/// simulation drained; it runs on the thread that ran the shard.
+/// Returns the merged [`RunTally`] and the `finish` results in shard
+/// order.
 ///
 /// With `partitions <= 1` this is the classic engine, byte-identical
 /// to the pre-partitioning code path: build, install, start, run to
 /// completion, finish.
-pub fn run_partitioned<S, R, I, F>(params: ClusterParams, install: I, finish: F) -> Vec<R>
+pub fn run_partitioned<S, R, I, F>(
+    params: ClusterParams,
+    install: I,
+    finish: F,
+) -> (RunTally, Vec<R>)
 where
     I: Fn(&mut Cluster, usize) -> S + Sync,
     F: Fn(usize, &mut Sim<Cluster>, &mut Cluster, S) -> R + Sync,
     R: Send,
 {
+    let faults_active = params.cfg.fault_injection_active();
+    let finish = |shard: usize, sim: &mut Sim<Cluster>, cluster: &mut Cluster, state: S| {
+        (
+            RunTally::of(sim, cluster),
+            finish(shard, sim, cluster, state),
+        )
+    };
     let parts = params.partitions.clamp(1, params.nodes.max(1));
-    if parts <= 1 {
+    let shards = if parts <= 1 {
         let mut cluster = Cluster::new(params);
         let mut sim: Sim<Cluster> = Sim::with_wheel_levels(cluster.p.cfg.wheel_levels);
         let state = install(&mut cluster, 0);
         cluster.start(&mut sim);
         sim.run(&mut cluster);
-        return vec![finish(0, &mut sim, &mut cluster, state)];
+        vec![finish(0, &mut sim, &mut cluster, state)]
+    } else {
+        let la = lookahead(&params.link);
+        let workers = params.partition_workers.max(1);
+        let install = &install;
+        let builders: Vec<ShardBuilder<'_, Cluster, S>> = (0..parts)
+            .map(|my| {
+                let params = params.clone();
+                let b: ShardBuilder<'_, Cluster, S> = Box::new(move || {
+                    let mut cluster = Cluster::new_shard(params, my);
+                    let mut sim: Sim<Cluster> = Sim::with_wheel_levels(cluster.p.cfg.wheel_levels);
+                    let state = install(&mut cluster, my);
+                    cluster.start(&mut sim);
+                    (sim, cluster, state)
+                });
+                b
+            })
+            .collect();
+        run_shards(builders, la, workers, finish)
+    };
+    let mut tally = RunTally::default();
+    let mut outs = Vec::with_capacity(shards.len());
+    for (t, r) in shards {
+        tally.absorb(&t);
+        outs.push(r);
     }
-    let la = lookahead(&params.link);
-    let workers = params.partition_workers.max(1);
-    let install = &install;
-    let builders: Vec<ShardBuilder<'_, Cluster, S>> = (0..parts)
-        .map(|my| {
-            let params = params.clone();
-            let b: ShardBuilder<'_, Cluster, S> = Box::new(move || {
-                let mut cluster = Cluster::new_shard(params, my);
-                let mut sim: Sim<Cluster> = Sim::with_wheel_levels(cluster.p.cfg.wheel_levels);
-                let state = install(&mut cluster, my);
-                cluster.start(&mut sim);
-                (sim, cluster, state)
-            });
-            b
-        })
-        .collect();
-    run_shards(builders, la, workers, finish)
+    tally.clean_wire = faults_active
+        || (tally.stats.frames_ring_dropped == 0 && tally.stats.frames_corrupt_dropped == 0);
+    (tally, outs)
 }
 
 #[cfg(test)]

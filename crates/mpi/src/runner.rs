@@ -239,22 +239,6 @@ pub fn run_scripts(params: ClusterParams, layout: Layout, scripts: Vec<Script>) 
     run_job(params, layout, move |rank| scripts[rank].clone())
 }
 
-/// Per-shard reduction of one (possibly partitioned) job. With
-/// `partitions = 1` there is one tally and the merge in [`run_job`]
-/// is the identity, so results match the historical single-engine
-/// runner byte for byte.
-struct ShardTally {
-    marks: Vec<Ps>,
-    done_ranks: usize,
-    stats: open_mx::cluster::Stats,
-    busy: open_mx::harness::BusyTotals,
-    events: u64,
-    end: Ps,
-    skbuffs: u64,
-    pinned: u64,
-    load: ShardLoad,
-}
-
 /// Run one job from a per-rank script generator, partitioned per
 /// `params.partitions` and fanned across `params.partition_workers`
 /// threads (results are identical for any value of either knob).
@@ -268,7 +252,6 @@ where
 {
     let np = layout.np();
     params.nodes = params.nodes.max(layout.nodes());
-    let faults_active = params.cfg.fault_injection_active();
     let install = |cluster: &mut Cluster, _shard: usize| {
         let shared = Rc::new(RefCell::new(JobShared::default()));
         let addrs = Rc::new((0..np).map(|r| layout.addr(r)).collect::<Vec<EpAddr>>());
@@ -297,52 +280,25 @@ where
     };
     let finish = |_shard: usize,
                   sim: &mut Sim<Cluster>,
-                  cluster: &mut Cluster,
+                  _cluster: &mut Cluster,
                   shared: Rc<RefCell<JobShared>>| {
-        // Thread-local sanitizer: quiesce on the worker that ran this
-        // shard.
-        omx_sim::sanitize::SimSanitizer::assert_quiesced();
-        let sh = shared.borrow();
-        let (skbuffs, pinned) = open_mx::harness::leak_counts(cluster);
-        ShardTally {
-            marks: sh.marks.clone(),
-            done_ranks: sh.done_ranks,
-            stats: cluster.stats_snapshot(),
-            busy: open_mx::harness::BusyTotals::of(cluster),
+        let sh = shared.take();
+        let load = ShardLoad {
             events: sim.events_executed(),
-            end: sim.now(),
-            skbuffs,
-            pinned,
-            load: ShardLoad {
-                events: sim.events_executed(),
-                peak_pending: sim.events_peak_pending(),
-                ranks: sh.ranks_installed,
-            },
-        }
+            peak_pending: sim.events_peak_pending(),
+            ranks: sh.ranks_installed,
+        };
+        (sh.marks, sh.done_ranks, load)
     };
-    let tallies = open_mx::run_partitioned(params, install, finish);
+    let (run, tallies) = open_mx::run_partitioned(params, install, finish);
     let mut marks = Vec::new();
-    let mut stats: Option<open_mx::cluster::Stats> = None;
-    let mut busy = open_mx::harness::BusyTotals::default();
-    let (mut done_ranks, mut events) = (0usize, 0u64);
-    let (mut skbuffs, mut pinned) = (0u64, 0u64);
-    let mut end = Ps::ZERO;
+    let mut done_ranks = 0usize;
     let mut shards = Vec::with_capacity(tallies.len());
-    for t in tallies {
-        shards.push(t.load);
-        marks.extend(t.marks);
-        done_ranks += t.done_ranks;
-        match &mut stats {
-            None => stats = Some(t.stats),
-            Some(s) => s.absorb(&t.stats),
-        }
-        busy.absorb(&t.busy);
-        events += t.events;
-        end = end.max(t.end);
-        skbuffs += t.skbuffs;
-        pinned += t.pinned;
+    for (m, done, load) in tallies {
+        marks.extend(m);
+        done_ranks += done;
+        shards.push(load);
     }
-    let stats = stats.expect("at least one shard");
     assert_eq!(
         done_ranks, np,
         "job deadlocked: {done_ranks}/{np} ranks finished"
@@ -352,17 +308,16 @@ where
     // timeline reads the same however the marking ranks were dealt.
     marks.sort();
     let time_per_iter = iter_time(&marks);
-    let clean_wire = open_mx::harness::wire_stayed_clean(faults_active, &stats);
     KernelResult {
         time_per_iter,
-        end,
+        end: run.end,
         marks,
-        breakdown: open_mx::harness::ComponentBreakdown::from_totals(&busy, end),
-        verified: clean_wire && stats.sends_failed == 0,
-        events_executed: events,
-        stats,
-        end_skbuffs_held: skbuffs,
-        end_pinned_regions: pinned,
+        breakdown: open_mx::harness::ComponentBreakdown::from_totals(&run.busy, run.end),
+        verified: run.clean_wire && run.stats.sends_failed == 0,
+        events_executed: run.events,
+        end_skbuffs_held: run.end_skbuffs_held,
+        end_pinned_regions: run.end_pinned_regions,
+        stats: run.stats,
         shards,
     }
 }

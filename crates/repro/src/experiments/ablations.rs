@@ -65,30 +65,36 @@ fn vectored_recv(seg: u64, frag_threshold: u64) -> (omx_sim::Ps, u64) {
         }
     }
 
-    let done_at = Rc::new(StdCell::new(Ps::ZERO));
     let params = ClusterParams::with_cfg(OmxConfig {
         ioat_frag_threshold: frag_threshold,
         ..OmxConfig::with_ioat()
     });
-    let mut cluster = Cluster::new(params);
-    let mut sim: Sim<Cluster> = Sim::with_wheel_levels(cluster.p.cfg.wheel_levels);
     let peer = EpAddr {
         node: NodeId(1),
         ep: EpIdx(0),
     };
-    cluster.add_endpoint(NodeId(0), CoreId(2), Box::new(VecSender { peer }));
-    cluster.add_endpoint(
-        NodeId(1),
-        CoreId(2),
-        Box::new(VecReceiver {
-            seg,
-            done_at: done_at.clone(),
-        }),
-    );
-    cluster.start(&mut sim);
-    sim.run(&mut cluster);
-    let offloaded = cluster.ep(peer).counters.copies_offloaded;
-    (done_at.get(), offloaded)
+    // One partition: the single shard owns both nodes.
+    let install = |cluster: &mut Cluster, _shard: usize| {
+        let done_at = Rc::new(StdCell::new(Ps::ZERO));
+        cluster.add_endpoint(NodeId(0), CoreId(2), Box::new(VecSender { peer }));
+        cluster.add_endpoint(
+            NodeId(1),
+            CoreId(2),
+            Box::new(VecReceiver {
+                seg,
+                done_at: done_at.clone(),
+            }),
+        );
+        done_at
+    };
+    let finish = |_shard: usize,
+                  _sim: &mut Sim<Cluster>,
+                  cluster: &mut Cluster,
+                  done_at: Rc<StdCell<Ps>>| {
+        (done_at.get(), cluster.ep(peer).counters.copies_offloaded)
+    };
+    let (_, mut shards) = open_mx::run_partitioned(params, install, finish);
+    shards.pop().expect("one shard")
 }
 
 const VEC_SEGS: [(&str, u64); 3] = [

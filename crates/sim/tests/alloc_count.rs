@@ -3,29 +3,40 @@
 //! the heap at all. A counting global allocator wraps the system one;
 //! after a warm-up pass (queue buffers grown, pool primed) the delta
 //! across a full schedule+run cycle must be zero.
+//!
+//! The count is per thread: libtest runs tests on parallel threads,
+//! and their allocations must not land in another test's window.
 
 use omx_sim::{Ps, Sim};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free: reading it never allocates or
+    // registers a destructor, so it is safe inside the allocator.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count_one();
         System.alloc(l)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         System.dealloc(p, l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count_one();
         System.realloc(p, l, n)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count_one();
         System.alloc_zeroed(l)
     }
 }
@@ -33,8 +44,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Heap allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// One self-rescheduling chain pass: `n` events through `schedule_in`,

@@ -129,13 +129,14 @@ fn alltoall_is_bit_deterministic_under_every_plan() {
     }
 }
 
-/// The partitioned-engine determinism gate: for pingpong, alltoall and
-/// credit-incast under `clean` and `flaky-10g`, every combination of
-/// `partitions ∈ {1, 4}` × `partition_workers ∈ {1, 8}` must produce
-/// the byte-identical Stats + breakdown JSON — and the `partitions: 1`
-/// fingerprint IS the pre-partitioning single-engine fingerprint, so
-/// this pins both "jobs don't matter" and "partitioning doesn't
-/// matter" in one sweep.
+/// The partitioned-engine determinism gate: for pingpong, stream,
+/// alltoall and credit-incast under `clean` and `flaky-10g`, every
+/// combination of `partitions ∈ {1, 4}` × `partition_workers ∈ {1, 8}`
+/// must produce the byte-identical Stats + breakdown JSON — and the
+/// `partitions: 1` fingerprint IS the pre-partitioning single-engine
+/// fingerprint, so this pins both "jobs don't matter" and
+/// "partitioning doesn't matter" in one sweep. The two-node stream
+/// runs the grid as `partitions ∈ {1, 2}` × `workers ∈ {1, 2}`.
 #[test]
 fn partitioning_and_workers_leave_every_fingerprint_unchanged() {
     let plans = [
@@ -152,6 +153,7 @@ fn partitioning_and_workers_leave_every_fingerprint_unchanged() {
                 "pingpong",
                 &partitioned_pingpong_fingerprint as &dyn Fn(FaultPlan, usize, usize) -> String,
             ),
+            ("stream", &partitioned_stream_fingerprint),
             ("alltoall", &partitioned_alltoall_fingerprint),
             ("incast", &partitioned_incast_fingerprint),
         ] {
@@ -186,6 +188,19 @@ fn partitioned_pingpong_fingerprint(plan: FaultPlan, parts: usize, workers: usiz
     c.iters = 6;
     c.warmup = 1;
     let r = run_pingpong(c);
+    fingerprint(&r.stats, &r.breakdown)
+}
+
+fn partitioned_stream_fingerprint(plan: FaultPlan, parts: usize, workers: usize) -> String {
+    // Two nodes: at most two shards, each run by at most one worker.
+    let params = with_partitions(
+        ClusterParams::with_cfg(cfg(plan)),
+        parts.min(2),
+        workers.min(2),
+    );
+    let mut c = StreamConfig::new(params, 1 << 20);
+    c.count = 4;
+    let r = run_stream(c);
     fingerprint(&r.stats, &r.breakdown)
 }
 
@@ -255,7 +270,7 @@ fn ioat_batching_is_bit_identical_under_every_plan() {
 
 #[test]
 fn snapshot_carries_aggregated_counters() {
-    // The D3 contract end-to-end: serialized stats must contain the
+    // The stat table end-to-end: serialized stats must contain the
     // aggregated per-endpoint counters, and a large-message exchange
     // must have counted actual traffic into them.
     let mut c = PingPongConfig::new(
