@@ -22,7 +22,6 @@ use omx_hw::ioat::ChannelProbe;
 use omx_hw::{CacheModel, CoreId, CpuSet, HwParams, IoatEngine, Topology};
 use omx_mx::MxParams;
 use omx_sim::{Metrics, Ps, Sim, SplitMix64};
-use std::collections::BTreeMap;
 
 pub use crate::counters::Stats;
 
@@ -114,14 +113,115 @@ impl Node {
     }
 }
 
+/// One directed link and its fault channel.
+struct LinkSlot {
+    link: Link,
+    /// The link's wire-hazard channel; `None` when the link can never
+    /// inject, so fault-free links never touch an RNG. Boxed: only
+    /// faulty links pay for it, and a slot stays small at N² links.
+    faults: Option<Box<LinkFaultState>>,
+}
+
+/// The directed links, node-indexed: a `nodes × nodes` table of slot
+/// numbers into a dense vector of the links created so far. Links are
+/// created on a link's first frame, so a large cluster only pays for
+/// the pairs that talk and a shard only materializes links its own
+/// nodes transmit on. The diagonal `src == dst` link models the NIC's
+/// internal DMA loopback, which is how native MXoE moves intra-node
+/// traffic.
+struct LinkTable {
+    nodes: usize,
+    /// `src * nodes + dst` → slot number + 1; 0 while the link is
+    /// unused. Empty until the first frame.
+    index: Vec<u32>,
+    slots: Vec<LinkSlot>,
+    /// Every link reports into this registry (wire busy time is
+    /// attributed to the sending node).
+    metrics: Metrics,
+    /// Root of every derived fault stream, seeded from `cfg.seed`.
+    /// Streams derive from it by a pure per-link tag, so fault
+    /// patterns are identical under any partitioning and any worker
+    /// count.
+    fault_root: SplitMix64,
+    /// Whether any link can inject wire hazards: the declarative plan
+    /// or the uniform `loss_one_in` knob (folded into the per-link
+    /// channels as a degenerate Gilbert–Elliott state). Fault
+    /// injection targets the Open-MX reliability machinery; the MXoE
+    /// baseline has none (its reliability lives in the NIC firmware,
+    /// out of scope), so its links never inject.
+    faults_possible: bool,
+}
+
+impl LinkTable {
+    fn new(p: &ClusterParams, metrics: Metrics, fault_root: SplitMix64) -> Self {
+        LinkTable {
+            nodes: p.nodes,
+            index: Vec::new(),
+            slots: Vec::new(),
+            metrics,
+            fault_root,
+            faults_possible: p.cfg.stack == StackKind::OpenMx
+                && (p.cfg.fault_plan.has_link_faults()
+                    || matches!(p.cfg.loss_one_in, Some(n) if n > 0)),
+        }
+    }
+
+    fn pos(&self, src: NodeId, dst: NodeId) -> usize {
+        debug_assert!(
+            (src.0 as usize) < self.nodes && (dst.0 as usize) < self.nodes,
+            "link {src:?} → {dst:?} outside a {}-node cluster",
+            self.nodes
+        );
+        src.0 as usize * self.nodes + dst.0 as usize
+    }
+
+    fn get(&self, src: NodeId, dst: NodeId) -> Option<&LinkSlot> {
+        let n = *self.index.get(self.pos(src, dst))?;
+        self.slots.get((n as usize).checked_sub(1)?)
+    }
+
+    /// The slot of `src → dst`, created on first use. The fault
+    /// channel's parameters and RNG stream derive purely from the run
+    /// seed and the link identity, so the draw sequence each link sees
+    /// is identical under any partitioning.
+    fn get_or_create(&mut self, src: NodeId, dst: NodeId, p: &ClusterParams) -> &mut LinkSlot {
+        let pos = self.pos(src, dst);
+        if self.index.is_empty() {
+            // Allocated on the first frame, like the links themselves:
+            // building a world that never sends stays cheap.
+            self.index = vec![0; self.nodes * self.nodes];
+        }
+        if self.index[pos] == 0 {
+            let mut link = Link::new(p.link);
+            link.attach_metrics(self.metrics.clone(), src.0);
+            let faults = if self.faults_possible {
+                let lp = p
+                    .cfg
+                    .fault_plan
+                    .link_params(src.0, dst.0)
+                    .combined_with_uniform_loss(p.cfg.loss_one_in);
+                let tag = 0x4000_0000_0000_0000u64 | (u64::from(src.0) << 24) | u64::from(dst.0);
+                lp.is_active()
+                    .then(|| Box::new(LinkFaultState::new(lp, self.fault_root.derive(tag))))
+            } else {
+                None
+            };
+            self.slots.push(LinkSlot { link, faults });
+            self.index[pos] = self.slots.len() as u32;
+        }
+        let n = self.index[pos] as usize;
+        &mut self.slots[n - 1]
+    }
+}
+
 /// The simulation world.
 pub struct Cluster {
     /// Construction parameters.
     pub p: ClusterParams,
     /// Hosts.
     pub nodes: Vec<Node>,
-    /// Unidirectional links keyed by (src, dst).
-    pub links: BTreeMap<(u32, u32), Link>,
+    /// Unidirectional links and their fault channels, node-indexed.
+    links: LinkTable,
     /// Applications (taken out while their callback runs).
     pub apps: Vec<Option<Box<dyn App>>>,
     /// Counters.
@@ -130,19 +230,6 @@ pub struct Cluster {
     /// Every link, NIC, BH queue and I/OAT engine reports into it;
     /// recording never charges simulated time.
     pub metrics: Metrics,
-    /// Root of every derived fault/jitter stream, seeded from
-    /// `cfg.seed`. Streams derive from it by a pure per-link or
-    /// per-node tag, so fault patterns are identical under any
-    /// partitioning and any worker count.
-    fault_root: SplitMix64,
-    /// Whether any directed link can inject wire hazards; `false`
-    /// short-circuits the per-frame fault lookup to a constant (a
-    /// clean run draws zero fault randomness).
-    link_faults_possible: bool,
-    /// Per-link fault channels, created on the link's first frame.
-    /// `None` caches "known inert" so the plan lookup runs once per
-    /// link; fault-free links never touch the RNG.
-    link_faults: BTreeMap<(u32, u32), Option<LinkFaultState>>,
     /// Partition bookkeeping: which nodes this world owns and the
     /// outbox of frames bound for other shards. The whole-world
     /// cluster (`parts == 1`) owns everything and never uses the
@@ -231,13 +318,6 @@ impl Cluster {
                 }
             })
             .collect();
-        // Whether any link can ever inject: the declarative plan or
-        // the uniform loss_one_in knob (folded into the per-link
-        // channels as a degenerate Gilbert–Elliott state). The
-        // channels themselves are created lazily on a link's first
-        // frame — see `link_fault_next`.
-        let link_faults_possible =
-            p.cfg.fault_plan.has_link_faults() || matches!(p.cfg.loss_one_in, Some(n) if n > 0);
         let mut nodes: Vec<Node> = nodes;
         if p.cfg.pull_credits {
             // Seed every node's shared pull-block budget; with credits
@@ -247,15 +327,12 @@ impl Cluster {
             }
         }
         Cluster {
+            links: LinkTable::new(&p, metrics.clone(), fault_root),
             p,
             nodes,
-            links: BTreeMap::new(),
             apps: Vec::new(),
             stats: Stats::default(),
             metrics,
-            fault_root,
-            link_faults_possible,
-            link_faults: BTreeMap::new(),
             part: crate::partition::PartitionCtx::new(my, parts),
         }
     }
@@ -365,8 +442,14 @@ impl Cluster {
 
     /// Mutable access to a node.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        self.hw_node_mut(id).1
+    }
+
+    /// Mutable access to a node alongside the hardware parameters: a
+    /// split borrow, so a node's models take `&HwParams` uncloned.
+    pub(crate) fn hw_node_mut(&mut self, id: NodeId) -> (&HwParams, &mut Node) {
         // omx-lint: allow(fast-path-panic) NodeIds are minted by Cluster::new from this very vec; an out-of-range id is a construction bug the whole suite would catch [test: tests/determinism.rs::pingpong_is_bit_deterministic_under_every_plan]
-        &mut self.nodes[id.0 as usize]
+        (&self.p.hw, &mut self.nodes[id.0 as usize])
     }
 
     /// Shared access to an endpoint.
@@ -376,7 +459,16 @@ impl Cluster {
 
     /// Mutable access to an endpoint.
     pub fn ep_mut(&mut self, a: EpAddr) -> &mut Endpoint {
-        &mut self.nodes[a.node.0 as usize].endpoints[a.ep.0 as usize]
+        self.hw_ep_mut(a).1
+    }
+
+    /// Mutable access to an endpoint alongside the hardware parameters
+    /// (a split borrow, like [`Self::hw_node_mut`]).
+    pub(crate) fn hw_ep_mut(&mut self, a: EpAddr) -> (&HwParams, &mut Endpoint) {
+        (
+            &self.p.hw,
+            &mut self.nodes[a.node.0 as usize].endpoints[a.ep.0 as usize],
+        )
     }
 
     /// Allocate a request id for endpoint `me`: the endpoint's address
@@ -512,13 +604,9 @@ impl Cluster {
         // copies elsewhere (drives the Fig 10 placement effects).
         if let Some(t) = tag {
             let subchip = self.p.topology.subchip_of(core);
-            let hw = self.p.hw.clone();
-            self.node_mut(me.node).cache.touch_exclusive(
-                &hw,
-                subchip,
-                omx_hw::cache::RegionKey(t),
-                len,
-            );
+            let (hw, node) = self.hw_node_mut(me.node);
+            node.cache
+                .touch_exclusive(hw, subchip, omx_hw::cache::RegionKey(t), len);
         }
         let msg_seq = self.ep_mut(me).next_seq(dest);
         let base_rto = self.p.cfg.retransmit_timeout;
@@ -691,53 +779,10 @@ impl Cluster {
     // frames and links
     // ------------------------------------------------------------------
 
-    /// Make sure the link `src → dst` exists (links are created on
-    /// first use: a large cluster only pays for the pairs that talk,
-    /// and a shard only materializes links its own nodes transmit on).
-    /// The diagonal `src == dst` link models the NIC's internal DMA
-    /// loopback, which is how native MXoE moves intra-node traffic.
-    pub(crate) fn ensure_link(&mut self, src: NodeId, dst: NodeId) {
-        let params = self.p.link;
-        let metrics = &self.metrics;
-        self.links.entry((src.0, dst.0)).or_insert_with(|| {
-            let mut link = Link::new(params);
-            // Wire busy time is attributed to the *sending* node.
-            link.attach_metrics(metrics.clone(), src.0);
-            link
-        });
-    }
-
-    /// Per-frame fault draw for the link `src → dst`. The channel is
-    /// created on the link's first frame from parameters and a RNG
-    /// stream derived purely from the run seed and the link identity,
-    /// so the draw sequence each link sees is identical under any
-    /// partitioning. Clean runs short-circuit to `CLEAN` without
-    /// touching the map.
-    fn link_fault_next(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-    ) -> omx_ethernet::fault::FrameDisposition {
-        if !self.link_faults_possible {
-            return omx_ethernet::fault::FrameDisposition::CLEAN;
-        }
-        let p = &self.p;
-        let root = &self.fault_root;
-        let entry = self.link_faults.entry((src.0, dst.0)).or_insert_with(|| {
-            let lp = p
-                .cfg
-                .fault_plan
-                .link_params(src.0, dst.0)
-                .combined_with_uniform_loss(p.cfg.loss_one_in);
-            lp.is_active().then(|| {
-                let tag = 0x4000_0000_0000_0000u64 | (u64::from(src.0) << 24) | u64::from(dst.0);
-                LinkFaultState::new(lp, root.derive(tag))
-            })
-        });
-        match entry {
-            Some(faults) => faults.next_frame(),
-            None => omx_ethernet::fault::FrameDisposition::CLEAN,
-        }
+    /// The link `src → dst`, or `None` until its first frame (links
+    /// are created lazily, see `LinkTable`).
+    pub fn link(&self, src: NodeId, dst: NodeId) -> Option<&Link> {
+        self.links.get(src, dst).map(|slot| &slot.link)
     }
 
     /// Deliver `frame` to `dst`'s NIC at `arrival` — the partition-safe
@@ -797,13 +842,13 @@ impl Cluster {
     ) {
         sim.schedule_at(at, move |c: &mut Cluster, s| {
             c.stats.frames_sent += 1;
-            // Fault injection targets the Open-MX reliability machinery;
-            // the MXoE baseline has none (its reliability lives in the
-            // NIC firmware, out of scope), so its frames are exempt.
-            let disp = if c.p.cfg.stack == StackKind::OpenMx {
-                c.link_fault_next(src, dst)
-            } else {
-                omx_ethernet::fault::FrameDisposition::CLEAN
+            // One index lookup finds the link and its fault channel;
+            // the borrow stays disjoint from the stats fields updated
+            // alongside it.
+            let slot = c.links.get_or_create(src, dst, &c.p);
+            let disp = match &mut slot.faults {
+                Some(faults) => faults.next_frame(),
+                None => omx_ethernet::fault::FrameDisposition::CLEAN,
             };
             if disp.dropped {
                 c.stats.frames_lost += 1;
@@ -814,10 +859,7 @@ impl Cluster {
                 frame.fcs_corrupt = true;
                 c.metrics.count(src.0, "fault.frames_corrupted", 1);
             }
-            c.ensure_link(src, dst);
-            // Direct field access keeps the link borrow disjoint from
-            // the stats fields updated alongside it.
-            let link = c.links.get_mut(&(src.0, dst.0)).expect("link exists");
+            let link = &mut slot.link;
             let mut arrival = link.transmit_with_overhead(s.now(), &frame, extra);
             if disp.reorder_extra > 0 {
                 // Hold the frame back by k serialization times: frames
@@ -1034,10 +1076,9 @@ impl Cluster {
             let core = ep.core;
             if let Some(t) = st.tag {
                 let subchip = c.p.topology.subchip_of(core);
-                let hw = c.p.hw.clone();
-                c.node_mut(addr.node)
-                    .cache
-                    .touch(&hw, subchip, omx_hw::cache::RegionKey(t), total);
+                let (hw, node) = c.hw_node_mut(addr.node);
+                node.cache
+                    .touch(hw, subchip, omx_hw::cache::RegionKey(t), total);
             }
             c.stats.messages_delivered += 1;
             c.stats.bytes_delivered += total;
@@ -1087,16 +1128,96 @@ mod tests {
     fn cluster_builds_links_on_demand() {
         let mut c = Cluster::new(ClusterParams::default());
         assert_eq!(c.nodes.len(), 2);
-        assert!(c.links.is_empty(), "links are lazy: none before traffic");
-        c.ensure_link(NodeId(0), NodeId(1));
-        c.ensure_link(NodeId(1), NodeId(0));
-        assert!(c.links.contains_key(&(0, 1)));
-        assert!(c.links.contains_key(&(1, 0)));
-        c.ensure_link(NodeId(0), NodeId(0));
+        let (n0, n1) = (NodeId(0), NodeId(1));
         assert!(
-            c.links.contains_key(&(0, 0)),
+            [(n0, n0), (n0, n1), (n1, n0), (n1, n1)]
+                .iter()
+                .all(|&(s, d)| c.link(s, d).is_none()),
+            "links are lazy: none before traffic"
+        );
+        c.links.get_or_create(n0, n1, &c.p);
+        c.links.get_or_create(n1, n0, &c.p);
+        assert!(c.link(n0, n1).is_some() && c.link(n1, n0).is_some());
+        c.links.get_or_create(n0, n0, &c.p);
+        assert!(
+            c.link(n0, n0).is_some(),
             "NIC loopback for MXoE local traffic"
         );
+    }
+
+    /// Each rank sends one tiny message to the next node's endpoint
+    /// and receives one from the previous node's.
+    struct RingHop {
+        nodes: u32,
+        sent: bool,
+        received: bool,
+    }
+    impl App for RingHop {
+        fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
+            ctx.irecv(0, 0, 64, None);
+            let dest = EpAddr {
+                node: NodeId((ctx.me.node.0 + 1) % self.nodes),
+                ep: EpIdx(0),
+            };
+            ctx.isend(dest, 0, vec![7; 32], None);
+        }
+        fn on_completion(&mut self, _ctx: &mut AppCtx<'_>, c: Completion) {
+            match c {
+                Completion::Send { .. } => self.sent = true,
+                Completion::Recv { .. } => self.received = true,
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.sent && self.received
+        }
+    }
+
+    #[test]
+    fn shard_materializes_only_links_it_transmits_on() {
+        let nodes = 4u32;
+        let params = ClusterParams {
+            nodes: nodes as usize,
+            partitions: 2,
+            ..ClusterParams::default()
+        };
+        let (tally, links) = crate::partition::run_partitioned(
+            params,
+            |c: &mut Cluster, _| {
+                for n in (0..nodes).map(NodeId) {
+                    if !c.owns(n) {
+                        continue;
+                    }
+                    let app = RingHop {
+                        nodes,
+                        sent: false,
+                        received: false,
+                    };
+                    c.add_endpoint(n, CoreId(2), Box::new(app));
+                }
+            },
+            |_, _, c: &mut Cluster, ()| {
+                assert!(c.all_apps_done());
+                let mut made = Vec::new();
+                for s in 0..nodes {
+                    for d in 0..nodes {
+                        if c.link(NodeId(s), NodeId(d)).is_some() {
+                            made.push((s, d));
+                        }
+                    }
+                }
+                made
+            },
+        );
+        assert_eq!(tally.stats.messages_delivered, u64::from(nodes));
+        for (shard, made) in links.iter().enumerate() {
+            assert!(
+                made.iter().all(|&(s, _)| s as usize % 2 == shard),
+                "shard {shard} materialized a link it never transmits on: {made:?}"
+            );
+            for s in (0..nodes).filter(|s| *s as usize % 2 == shard) {
+                assert!(made.contains(&(s, (s + 1) % nodes)), "{made:?}");
+            }
+        }
     }
 
     struct Nop;

@@ -112,9 +112,8 @@ impl Cluster {
             let work = self.bh_frag_cost(coalesced) + submit;
             let (_, submit_fin) = self.run_core(node, core, now, work, category::BH);
             self.metrics.busy(node.0, "ioat.submit_cpu", submit);
-            let hw = self.p.hw.clone();
-            let n = self.node_mut(node);
-            let h = n.ioat.submit(&hw, submit_fin, ch, len, ndesc);
+            let (hw, n) = self.hw_node_mut(node);
+            let h = n.ioat.submit(hw, submit_fin, ch, len, ndesc);
             self.node_mut(node)
                 .driver
                 .kmatch

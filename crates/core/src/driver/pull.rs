@@ -62,8 +62,8 @@ impl Cluster {
             .get(&req)
             .and_then(|r| r.tag)
             .unwrap_or(req.0 | (1 << 62));
-        let hw = self.p.hw.clone();
-        let reg = self.ep_mut(me).regions.register(&hw, tag, msg_len);
+        let (hw, ep) = self.hw_ep_mut(me);
+        let reg = ep.regions.register(hw, tag, msg_len);
         {
             let c = &mut self.ep_mut(me).counters;
             if reg.cache_hit {
@@ -323,9 +323,8 @@ impl Cluster {
             let (_, submit_fin) = self.run_core(node, core, now, work, category::BH);
             self.metrics.busy(node.0, "ioat.submit_cpu", submit);
             fin = submit_fin;
-            let hw = self.p.hw.clone();
-            let n = self.node_mut(node);
-            copy_handle = Some(n.ioat.submit(&hw, submit_fin, ch, len, ndesc));
+            let (hw, n) = self.hw_node_mut(node);
+            copy_handle = Some(n.ioat.submit(hw, submit_fin, ch, len, ndesc));
             self.node_mut(node).driver.hold_skbuffs(1);
             let c = &mut self.ep_mut(me).counters;
             c.copies_offloaded += 1;

@@ -144,9 +144,9 @@ impl Cluster {
                     let st = self.ep(me).sends.get(&req).expect("send exists");
                     (st.tag, st.data.len() as u64, st.msg_seq, st.match_info)
                 };
-                let hw = self.p.hw.clone();
                 let reg_tag = tag.unwrap_or(req.0 | (1 << 63));
-                let reg = self.ep_mut(me).regions.register(&hw, reg_tag, len);
+                let (hw, ep) = self.hw_ep_mut(me);
+                let reg = ep.regions.register(hw, reg_tag, len);
                 {
                     let c = &mut self.ep_mut(me).counters;
                     if reg.cache_hit {
@@ -823,12 +823,9 @@ impl Cluster {
             work += submit;
             let (_, submit_fin) = self.run_core(node, core, now, work, category::BH);
             self.metrics.busy(node.0, "ioat.submit_cpu", submit);
-            let hw = self.p.hw.clone();
             let ch = self.pick_healthy_channel(node, submit_fin);
-            let handle = self
-                .node_mut(node)
-                .ioat
-                .submit(&hw, submit_fin, ch, len, ndesc);
+            let (hw, n) = self.hw_node_mut(node);
+            let handle = n.ioat.submit(hw, submit_fin, ch, len, ndesc);
             if handle.finish >= omx_hw::ioat::STALLED_FOREVER {
                 // The channel died underneath the copy: busy-polling
                 // here would never return. Quarantine it and re-do the

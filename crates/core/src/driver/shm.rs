@@ -56,13 +56,13 @@ impl Cluster {
         // cache (this is the "pollution" I/OAT avoids). The source is
         // read (shared); the destination is written (exclusive, which
         // invalidates stale copies on other subchips).
-        let hw = self.p.hw.clone();
-        let cache = &mut self.node_mut(node).cache;
+        let (hw, n) = self.hw_node_mut(node);
+        let cache = &mut n.cache;
         if let Some(t) = src_tag {
-            cache.touch(&hw, subchip, RegionKey(t), len);
+            cache.touch(hw, subchip, RegionKey(t), len);
         }
         if let Some(t) = dst_tag {
-            cache.touch_exclusive(&hw, subchip, RegionKey(t), len);
+            cache.touch_exclusive(hw, subchip, RegionKey(t), len);
         }
         self.metrics.busy(node.0, "shm.copy", cost);
         self.metrics.count(node.0, "shm.copy_bytes", len);
@@ -294,11 +294,11 @@ impl Cluster {
         }
         if offload {
             // I/OAT needs both buffers pinned.
-            let hw = self.p.hw.clone();
             let src_key = src_tag.unwrap_or(tx.req.0 | (1 << 61));
             let dst_key = dst_tag.unwrap_or(req.0 | (1 << 62));
-            let reg_src = self.ep_mut(me).regions.register(&hw, src_key, msg_len);
-            let reg_dst = self.ep_mut(me).regions.register(&hw, dst_key, msg_len);
+            let (hw, ep) = self.hw_ep_mut(me);
+            let reg_src = ep.regions.register(hw, src_key, msg_len);
+            let reg_dst = ep.regions.register(hw, dst_key, msg_len);
             let (_, f) = self.run_core(
                 node,
                 core,
@@ -318,7 +318,7 @@ impl Cluster {
             let (_, submit_fin) = self.run_core(node, core, fin, submit, category::DRIVER);
             self.metrics.busy(node.0, "ioat.submit_cpu", submit);
             let first_desc_at = fin + self.p.hw.ioat_submit_cpu;
-            let hw = self.p.hw.clone();
+            let page_size = self.p.hw.page_size;
             let multichannel = self.p.cfg.ioat_multichannel_split;
             let single_ch = if multichannel {
                 0
@@ -345,7 +345,7 @@ impl Cluster {
                     segments.push(CopySegment {
                         channel: ch,
                         bytes,
-                        descriptors: IoatEngine::descriptors_for(bytes, hw.page_size),
+                        descriptors: IoatEngine::descriptors_for(bytes, page_size),
                     });
                 }
             } else {
@@ -355,9 +355,9 @@ impl Cluster {
                     descriptors: ndesc,
                 });
             }
-            self.node_mut(node)
-                .ioat
-                .submit_batch(&hw, first_desc_at, &segments, &mut handles);
+            let (hw, n) = self.hw_node_mut(node);
+            n.ioat
+                .submit_batch(hw, first_desc_at, &segments, &mut handles);
             let mut handle_finish = if multichannel {
                 first_desc_at
             } else {
