@@ -18,7 +18,6 @@ use omx_ethernet::fault::LinkFaultState;
 use omx_ethernet::nic::{RxOutcome, RxWake};
 use omx_ethernet::{BottomHalfQueue, EthFrame, Link, LinkParams, Nic, NicParams};
 use omx_hw::cpu::category;
-use omx_hw::ioat::ChannelProbe;
 use omx_hw::{CacheModel, CoreId, CpuSet, HwParams, IoatEngine, Topology};
 use omx_mx::MxParams;
 use omx_sim::{Metrics, Ps, Sim, SplitMix64};
@@ -501,50 +500,6 @@ impl Cluster {
         next
     }
 
-    /// Probe an I/OAT channel's health on `node`, counting quarantine
-    /// releases into the run stats. `true` = usable.
-    pub(crate) fn ioat_channel_usable(&mut self, node: NodeId, channel: usize, now: Ps) -> bool {
-        match self.nodes[node.0 as usize].ioat.probe_channel(channel, now) {
-            ChannelProbe::Healthy => true,
-            ChannelProbe::Reprobed => {
-                self.stats.ioat_reprobes += 1;
-                true
-            }
-            ChannelProbe::Quarantined => false,
-        }
-    }
-
-    /// Round-robin pick skipping quarantined channels. When every
-    /// channel is quarantined the plain round-robin pick is returned —
-    /// callers still gate each submit on [`Self::ioat_channel_usable`],
-    /// so an all-dead engine degrades to pure memcpy.
-    pub(crate) fn pick_healthy_channel(&mut self, node: NodeId, now: Ps) -> usize {
-        let n = self.nodes[node.0 as usize].ioat.num_channels();
-        for _ in 0..n {
-            let ch = self.nodes[node.0 as usize].ioat.pick_channel_rr();
-            if self.ioat_channel_usable(node, ch, now) {
-                return ch;
-            }
-        }
-        self.nodes[node.0 as usize].ioat.pick_channel_rr()
-    }
-
-    /// Blacklist `channel` on `node` until `until`, counting the event
-    /// if the channel was not already quarantined.
-    pub(crate) fn quarantine_channel(&mut self, node: NodeId, channel: usize, until: Ps) {
-        if self.nodes[node.0 as usize].ioat.quarantine(channel, until) {
-            self.stats.ioat_quarantines += 1;
-        }
-    }
-
-    /// Count one offload-to-memcpy fallback of `bytes` bytes.
-    pub(crate) fn record_ioat_fallback(&mut self, node: NodeId, at: Ps, bytes: u64) {
-        self.stats.ioat_fallback_copies += 1;
-        self.metrics.count(node.0, "ioat.fallback_bytes", bytes);
-        self.metrics
-            .trace(at, node.0, "ioat", "memcpy_fallback", bytes, 0);
-    }
-
     /// Charge `work` on a node core; returns `(start, finish)`.
     pub(crate) fn run_core(
         &mut self,
@@ -554,9 +509,7 @@ impl Cluster {
         work: Ps,
         cat: &'static str,
     ) -> (Ps, Ps) {
-        self.nodes[node.0 as usize]
-            .cpus
-            .run_on(core, now, work, cat)
+        self.node_mut(node).cpus.run_on(core, now, work, cat)
     }
 
     // ------------------------------------------------------------------

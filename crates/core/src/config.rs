@@ -307,21 +307,6 @@ impl OmxConfig {
         }
     }
 
-    /// Whether a network receive copy of `frag_len` bytes belonging to
-    /// an `msg_len`-byte message should be offloaded (paper §IV-A
-    /// conclusion: message ≥ 64 kB *and* fragment ≥ 1 kB).
-    pub fn offload_net_copy(&self, msg_len: u64, frag_len: u64) -> bool {
-        self.ioat_enabled
-            && msg_len >= self.ioat_net_msg_threshold
-            && frag_len >= self.ioat_frag_threshold
-    }
-
-    /// Whether a shared-memory copy of `msg_len` bytes should be
-    /// offloaded.
-    pub fn offload_shm_copy(&self, msg_len: u64) -> bool {
-        self.ioat_enabled && msg_len >= self.ioat_shm_threshold
-    }
-
     /// Fragments of an `len`-byte message.
     pub fn frags_for(&self, len: u64) -> u64 {
         len.div_ceil(self.frag_size).max(1)
@@ -388,23 +373,6 @@ mod tests {
         assert_eq!(c.class_of(129), MsgClass::Medium);
         assert_eq!(c.class_of(32 << 10), MsgClass::Medium);
         assert_eq!(c.class_of((32 << 10) + 1), MsgClass::Large);
-    }
-
-    #[test]
-    fn offload_policy_needs_both_thresholds() {
-        let c = OmxConfig::with_ioat();
-        assert!(c.offload_net_copy(64 << 10, 4096));
-        assert!(!c.offload_net_copy(63 << 10, 4096), "message too short");
-        assert!(!c.offload_net_copy(64 << 10, 512), "fragment too short");
-        let off = OmxConfig::default();
-        assert!(!off.offload_net_copy(1 << 20, 4096), "master switch off");
-    }
-
-    #[test]
-    fn shm_offload_threshold() {
-        let c = OmxConfig::with_ioat();
-        assert!(c.offload_shm_copy(1 << 20));
-        assert!(!c.offload_shm_copy((1 << 20) - 1));
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! module implements that plan behind `OmxConfig::kernel_matching`.
 
 use crate::cluster::Cluster;
+use crate::driver::copy::{CopyCtx, CopySite};
+use crate::driver::PendingCopy;
+use crate::endpoint::land;
 use crate::events::Event;
 use crate::matching::PostedRecv;
 use crate::{EpAddr, NodeId, ReqId};
 use bytes::Bytes;
 use omx_hw::cpu::category;
-use omx_hw::ioat::CopyHandle;
 use omx_hw::CoreId;
-use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
 
 /// Driver-side reassembly of one medium message under kernel matching.
@@ -31,8 +32,9 @@ pub struct KernelAssembly {
     pub total: u32,
     /// Kernel buffer for unexpected data.
     pub data: Option<Vec<u8>>,
-    /// Outstanding asynchronous fragment copies.
-    pub pending: Vec<CopyHandle>,
+    /// Outstanding asynchronous fragment copies (a pooled
+    /// [`crate::driver::DriverScratch`] list).
+    pub pending: Vec<PendingCopy>,
 }
 
 impl Cluster {
@@ -49,18 +51,16 @@ impl Cluster {
         match_info: u64,
         msg_seq: u32,
         msg_len: u32,
-        _frag_idx: u16,
-        frag_count: u16,
         offset: u32,
         data: Bytes,
         coalesced: bool,
     ) -> Ps {
-        let _ = frag_count;
         let now = sim.now();
         let key = (me.ep, src, msg_seq);
         // First fragment: match in the driver.
         if !self.node(node).driver.kmatch.contains_key(&key) {
             let matched = self.ep_mut(me).matcher.match_incoming(match_info);
+            let pending = self.node_mut(node).driver.scratch.take_pending();
             let (req, buf) = match matched {
                 Some(PostedRecv { req, .. }) => {
                     if let Some(rs) = self.ep_mut(me).recvs.get_mut(&req) {
@@ -79,8 +79,7 @@ impl Cluster {
                     match_info,
                     total: msg_len,
                     data: buf,
-                    // omx-lint: allow(hot-path-alloc) Vec::new is capacity-zero and touches no allocator; growth happens only on the offload path's first pends [test: tests/end_to_end.rs::extension_paths_stay_correct]
-                    pending: Vec::new(),
+                    pending,
                 },
             );
         }
@@ -90,67 +89,26 @@ impl Cluster {
         };
         // Copy path: matched fragments may be offloaded asynchronously
         // — the whole point of this extension.
-        let len = data.len() as u64;
-        let mut offload = matched
-            && self.p.cfg.ioat_enabled
-            && !self.p.cfg.ignore_bh_copy
-            && len >= self.p.cfg.ioat_frag_threshold;
-        // Graceful degradation: quarantined channels demote the copy
-        // to the memcpy path.
-        let mut ch = 0;
-        if offload {
-            ch = self.pick_healthy_channel(node, now);
-            if !self.ioat_channel_usable(node, ch, now) {
-                self.record_ioat_fallback(node, now, len);
-                self.ep_mut(me).counters.copies_fallback += 1;
-                offload = false;
-            }
-        }
-        let fin = if offload {
-            let ndesc = self.desc_count(offset as u64, len);
-            let submit = self.ioat_submit_cost(ndesc, coalesced);
-            let work = self.bh_frag_cost(coalesced) + submit;
-            let (_, submit_fin) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, "ioat.submit_cpu", submit);
-            let (hw, n) = self.hw_node_mut(node);
-            let h = n.ioat.submit(hw, submit_fin, ch, len, ndesc);
-            self.node_mut(node)
-                .driver
-                .kmatch
-                .get_mut(&key)
-                .expect("present")
-                .pending
-                .push(h);
-            self.node_mut(node).driver.hold_skbuffs(1);
-            submit_fin
-        } else {
-            let copy = self.bh_copy_cost(len);
-            let work = self.bh_frag_cost(coalesced) + copy;
-            let (_, f) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, "bh.copy", copy);
-            self.metrics.count(node.0, "bh.copy_bytes", len);
-            f
+        let ctx = CopyCtx::bh(me, core, self.p.hw.page_size);
+        let site = CopySite::KernelMatch {
+            offset: offset as u64,
+            len: data.len() as u64,
+            matched,
         };
+        let pick = |c: &mut Cluster| c.pick_healthy_channel(node, now);
+        let (fin, submitted) = self.copy_fragment(&ctx, site, now, coalesced, pick);
+        if let Some(pc) = submitted {
+            let a = self.node_mut(node).driver.kmatch.get_mut(&key);
+            a.expect("present").pending.push(pc);
+        }
+        self.ep_mut(me).counters.rx_medium_frags += 1;
         // Apply the bytes.
-        {
-            let asm_data_needed = !matched;
-            if asm_data_needed {
-                let a = self
-                    .node_mut(node)
-                    .driver
-                    .kmatch
-                    .get_mut(&key)
-                    .expect("present");
-                let buf = a.data.as_mut().expect("unmatched buffers data");
-                let end = ((offset as usize) + data.len()).min(buf.len());
-                let start = (offset as usize).min(end);
-                buf[start..end].copy_from_slice(&data[..end - start]);
-            } else if let Some(rs) = self.ep_mut(me).recvs.get_mut(&req.expect("matched")) {
-                let end = ((offset as usize) + data.len()).min(rs.buf.len());
-                let start = (offset as usize).min(end);
-                rs.buf[start..end].copy_from_slice(&data[..end - start]);
-                rs.received += (end - start) as u64;
-            }
+        if !matched {
+            let a = self.node_mut(node).driver.kmatch.get_mut(&key);
+            let buf = a.expect("present").data.as_mut();
+            land(buf.expect("unmatched buffers data"), offset as usize, &data);
+        } else if let Some(rs) = self.ep_mut(me).recvs.get_mut(&req.expect("matched")) {
+            rs.received += land(&mut rs.buf, offset as usize, &data) as u64;
         }
         // Complete?
         let all_seen = self
@@ -163,34 +121,14 @@ impl Cluster {
         }
         // Drain pending copies (only the last fragment waits, as in the
         // large path).
-        let mut fin = fin;
-        let last = self
-            .node(node)
-            .driver
-            .kmatch
-            .get(&key)
-            .and_then(|a| a.pending.iter().map(|h| h.finish).max());
-        if let Some(t) = last {
-            let wait = t.saturating_sub(fin) + self.p.hw.ioat_poll_cost;
-            let (_, f) = self.run_core(node, core, fin, wait, category::BH);
-            self.metrics.busy(node.0, "ioat.poll_wait", wait);
-            fin = f;
-        }
         let asm = self
             .node_mut(node)
             .driver
             .kmatch
             .remove(&key)
             .expect("present");
-        // The busy-poll above waited out the latest finish time, so
-        // every pending descriptor is done: reap them.
-        for h in &asm.pending {
-            SimSanitizer::complete(h.san);
-            SimSanitizer::release(h.san);
-        }
-        self.node_mut(node)
-            .driver
-            .release_skbuffs(asm.pending.len() as u64);
+        let (mut fin, _) = self.wait_copies(&ctx, &asm.pending, fin);
+        self.node_mut(node).driver.scratch.put_pending(asm.pending);
         if let Some(b) = self.ep_mut(me).drv_medium.remove(&(src, msg_seq)) {
             self.node_mut(node).driver.scratch.put_bitmap(b);
         }

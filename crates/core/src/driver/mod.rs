@@ -1,21 +1,26 @@
 //! Kernel-side (driver) state of one host.
 //!
 //! The Open-MX driver owns everything that happens below the event
-//! ring: the BH receive callback's copy paths (`recv`), the
-//! large-message pull engine with its I/OAT bookkeeping (`pull`), and
-//! the one-copy shared-memory path (`shm`). Those submodules implement
-//! methods on [`crate::cluster::Cluster`]; this module holds the data.
+//! ring: the BH receive callback (`recv`), the large-message pull
+//! engine (`pull`), in-driver matching (`kmatch`), the one-copy
+//! shared-memory path (`shm`) and the receive-copy path all of them
+//! share — offload decision, channel health, submission, CPU copy and
+//! drain (`copy`). Those submodules implement methods on
+//! [`crate::cluster::Cluster`]; this module holds the data.
 
+pub mod copy;
 pub mod kmatch;
 pub mod pull;
 pub mod recv;
 pub mod shm;
 
 use crate::{EpAddr, EpIdx, ReqId};
-use omx_hw::ioat::{CopyHandle, CopySegment};
+use omx_hw::ioat::CopySegment;
 use omx_sim::sanitize::{Kind, SimSanitizer, Token};
 use omx_sim::Ps;
 use std::collections::{BTreeMap, VecDeque};
+
+pub use copy::PendingCopy;
 
 /// Pooled per-node scratch for the driver's hot paths.
 ///
@@ -33,14 +38,11 @@ pub struct DriverScratch {
     bitmaps: Vec<Vec<bool>>,
     /// Recycled block-remaining vectors (pull protocol).
     blocks: Vec<Vec<u32>>,
-    /// Recycled pending-copy vectors (pull protocol).
+    /// Recycled pending-copy vectors (pulls, kernel-matched messages,
+    /// synchronous copies).
     pending: Vec<Vec<PendingCopy>>,
-    /// Reusable stuck-copy extraction buffer (cleared between uses).
-    pub stuck: Vec<PendingCopy>,
     /// Reusable chained-batch segment list (cleared between uses).
     pub segments: Vec<CopySegment>,
-    /// Reusable chained-batch handle output (cleared between uses).
-    pub handles: Vec<CopyHandle>,
 }
 
 impl DriverScratch {
@@ -108,19 +110,6 @@ impl DriverScratch {
         self.put_blocks(block_remaining);
         self.put_pending(pending_copies);
     }
-}
-
-/// One outstanding asynchronous receive copy: its completion handle,
-/// the skbuffs it pins and the bytes it moves (needed to re-do the
-/// copy on the CPU if the channel dies underneath it).
-#[derive(Debug, Clone, Copy)]
-pub struct PendingCopy {
-    /// I/OAT completion handle.
-    pub handle: CopyHandle,
-    /// Ring skbuffs held until the copy retires.
-    pub skbs: u64,
-    /// Payload bytes the copy moves.
-    pub bytes: u64,
 }
 
 /// Receiver-side state of one in-progress large-message pull.
@@ -230,16 +219,6 @@ impl PullState {
         self.san
     }
 
-    /// Fragments per block for this pull.
-    pub fn block_of(&self, frag_idx: u32, block_frags: u32) -> u32 {
-        frag_idx / block_frags
-    }
-
-    /// Whether every fragment has arrived.
-    pub fn all_arrived(&self) -> bool {
-        self.frag_seen.iter().all(|&b| b)
-    }
-
     /// Whether `frag_idx` has not landed yet. Out-of-range indices —
     /// possible when a stale fragment reaches a recycled handle —
     /// read as already-seen, so callers drop them as duplicates
@@ -269,52 +248,6 @@ impl PullState {
             block_done: *rem == 0,
             all_arrived: self.frag_seen.iter().all(|&s| s),
         })
-    }
-
-    /// Release completed asynchronous copies (the cleanup routine of
-    /// §III-B). Returns how many skbuffs were freed.
-    pub fn reap_completed(&mut self, now: Ps) -> u64 {
-        let mut freed = 0;
-        self.pending_copies.retain(|pc| {
-            if pc.handle.finish <= now {
-                freed += pc.skbs;
-                // The hardware retired this descriptor and the driver
-                // observed it — exactly once.
-                SimSanitizer::complete(pc.handle.san);
-                SimSanitizer::release(pc.handle.san);
-                false
-            } else {
-                true
-            }
-        });
-        freed
-    }
-
-    /// Latest completion time among pending copies.
-    pub fn last_copy_finish(&self) -> Option<Ps> {
-        self.pending_copies.iter().map(|pc| pc.handle.finish).max()
-    }
-
-    /// Extract pending copies whose completion lies further than
-    /// `deadline` past `now` — the completion-poll deadline has fired
-    /// for them and the driver will re-do them on the CPU. The stuck
-    /// entries are removed from the pending list and appended to
-    /// `out` (a recycled [`DriverScratch::stuck`] buffer; the caller
-    /// clears it first).
-    pub fn take_stuck(&mut self, now: Ps, deadline: Ps, out: &mut Vec<PendingCopy>) {
-        let horizon = now + deadline;
-        self.pending_copies.retain(|pc| {
-            if pc.handle.finish > horizon {
-                // The descriptor is abandoned without ever completing
-                // (the channel died; the caller re-does the copy on
-                // the CPU).
-                SimSanitizer::release(pc.handle.san);
-                out.push(*pc);
-                false
-            } else {
-                true
-            }
-        });
     }
 }
 
@@ -435,44 +368,6 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NodeId;
-
-    /// A submitted I/OAT handle for lifecycle-accurate tests.
-    fn handle(cookie: u64, finish: Ps) -> CopyHandle {
-        let san = SimSanitizer::alloc(Kind::IoatDescriptor);
-        SimSanitizer::submit(san);
-        CopyHandle {
-            channel: 0,
-            cookie,
-            finish,
-            san,
-        }
-    }
-
-    fn pull_state() -> PullState {
-        let mut p = PullState::new(
-            EpIdx(0),
-            ReqId(1),
-            EpAddr {
-                node: NodeId(1),
-                ep: EpIdx(0),
-            },
-            1,
-            0,
-            64 << 10,
-            16,
-            vec![8, 8],
-            2,
-            0,
-            Ps::ZERO,
-            1,
-            Ps::us(500),
-            &mut DriverScratch::default(),
-        );
-        assert_eq!(p.frag_seen.len(), 16);
-        p.bytes_done = 0;
-        p
-    }
 
     #[test]
     fn handles_are_unique() {
@@ -494,57 +389,6 @@ mod tests {
         d.release_skbuffs(5);
         assert_eq!(d.skbuffs_held, 2);
         assert_eq!(d.skbuffs_held_max, 7);
-    }
-
-    #[test]
-    fn pull_state_block_and_reap() {
-        let mut p = pull_state();
-        p.pending_copies = vec![
-            PendingCopy {
-                handle: handle(0, Ps::us(1)),
-                skbs: 1,
-                bytes: 4096,
-            },
-            PendingCopy {
-                handle: handle(1, Ps::us(3)),
-                skbs: 1,
-                bytes: 4096,
-            },
-        ];
-        assert_eq!(p.block_of(0, 8), 0);
-        assert_eq!(p.block_of(8, 8), 1);
-        assert!(!p.all_arrived());
-        assert_eq!(p.last_copy_finish(), Some(Ps::us(3)));
-        // Reap at 2us frees the first copy only.
-        assert_eq!(p.reap_completed(Ps::us(2)), 1);
-        assert_eq!(p.pending_copies.len(), 1);
-        assert_eq!(p.reap_completed(Ps::us(4)), 1);
-        assert!(p.pending_copies.is_empty());
-        p.frag_seen.iter_mut().for_each(|b| *b = true);
-        assert!(p.all_arrived());
-    }
-
-    #[test]
-    fn take_stuck_extracts_past_deadline_copies() {
-        let pc = |cookie: u64, finish: Ps| PendingCopy {
-            handle: handle(cookie, finish),
-            skbs: 1,
-            bytes: 4096,
-        };
-        let mut p = pull_state();
-        p.pending_copies = vec![pc(0, Ps::us(10)), pc(1, omx_hw::ioat::STALLED_FOREVER)];
-        // A deadline beyond every completion finds nothing stuck.
-        let mut stuck = Vec::new();
-        p.take_stuck(Ps::us(5), Ps::secs(7200), &mut stuck);
-        assert!(stuck.is_empty());
-        assert_eq!(p.pending_copies.len(), 2);
-        // The never-finishing copy trips the deadline; the healthy one
-        // stays pending.
-        p.take_stuck(Ps::us(6), Ps::ms(2), &mut stuck);
-        assert_eq!(stuck.len(), 1);
-        assert_eq!(stuck[0].handle.cookie, 1);
-        assert_eq!(p.pending_copies.len(), 1);
-        assert_eq!(p.pending_copies[0].handle.cookie, 0);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! retransmission timeout.
 
 use crate::cluster::Cluster;
-use crate::driver::{PendingCopy, PullState};
+use crate::driver::copy::{CopyCtx, CopySite};
+use crate::driver::PullState;
+use crate::endpoint::land;
 use crate::events::Event;
 use crate::proto::Packet;
 use crate::{EpAddr, NodeId, ReqId};
@@ -289,69 +291,26 @@ impl Cluster {
             .and_then(|r| r.seg_size)
             .unwrap_or(u64::MAX);
         let chunk_eff = len.min(seg).max(1);
-        // --- copy path decision -----------------------------------------
-        let in_warm_head = offset < self.p.cfg.warm_copy_head_bytes;
-        let offload = self.p.cfg.offload_net_copy(msg_len, chunk_eff)
-            && !self.p.cfg.ignore_bh_copy
-            && !in_warm_head;
-        // Graceful degradation: a quarantined (or scheduled-dead)
-        // channel demotes this fragment to the memcpy path instead of
-        // feeding more copies to hardware known to be stuck.
-        let ch = if offload {
-            let multichannel = self.p.cfg.ioat_multichannel_split;
-            let n = self.node_mut(node);
-            if multichannel {
-                n.ioat.pick_channel_least_loaded()
+        // --- copy: async offload, or memcpy --------------------------------
+        let ctx = CopyCtx::bh(me, core, chunk_eff);
+        let site = CopySite::Pull {
+            msg_len,
+            chunk: chunk_eff,
+            offset,
+            len,
+        };
+        let pick = |c: &mut Cluster| {
+            if c.p.cfg.ioat_multichannel_split {
+                c.node(node).ioat.pick_channel_least_loaded()
             } else {
                 channel
             }
-        } else {
-            channel
         };
-        let channel_ok = !offload || self.ioat_channel_usable(node, ch, now);
-        if offload && !channel_ok {
-            self.record_ioat_fallback(node, now, len);
-            self.ep_mut(me).counters.copies_fallback += 1;
-        }
-        let offload = offload && channel_ok;
-        let mut fin;
-        let mut copy_handle = None;
-        if offload {
-            let ndesc = self.desc_count(offset, len).max(len.div_ceil(chunk_eff));
-            let submit = self.ioat_submit_cost(ndesc, coalesced);
-            let work = self.bh_frag_cost(coalesced) + submit;
-            let (_, submit_fin) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, "ioat.submit_cpu", submit);
-            fin = submit_fin;
-            let (hw, n) = self.hw_node_mut(node);
-            copy_handle = Some(n.ioat.submit(hw, submit_fin, ch, len, ndesc));
-            self.node_mut(node).driver.hold_skbuffs(1);
-            let c = &mut self.ep_mut(me).counters;
-            c.copies_offloaded += 1;
-            c.bytes_offloaded += len;
-            c.rx_large_frags += 1;
-        } else {
-            let copy = self.bh_copy_cost_chunked(len, chunk_eff);
-            let work = self.bh_frag_cost(coalesced) + copy;
-            let (_, f) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, "bh.copy", copy);
-            self.metrics.count(node.0, "bh.copy_bytes", len);
-            fin = f;
-            let c = &mut self.ep_mut(me).counters;
-            c.copies_memcpy += 1;
-            c.bytes_memcpy += len;
-            c.rx_large_frags += 1;
-        }
+        let (mut fin, submitted) = self.copy_fragment(&ctx, site, now, coalesced, pick);
+        self.ep_mut(me).counters.rx_large_frags += 1;
         // --- apply the data and progress accounting ----------------------
-        {
-            let ep = self.ep_mut(me);
-            if let Some(rs) = ep.recvs.get_mut(&req) {
-                let end = ((offset + len) as usize).min(rs.buf.len());
-                let start = (offset as usize).min(end);
-                // omx-lint: allow(fast-path-panic) start ≤ end ≤ buf.len() by the two clamps above, and end−start ≤ len = data.len() [test: tests/fault_soak.rs::flaky_10g_stream_recovers_with_fallback_and_backoff]
-                rs.buf[start..end].copy_from_slice(&data[..end - start]);
-                rs.received += (end - start) as u64;
-            }
+        if let Some(rs) = self.ep_mut(me).recvs.get_mut(&req) {
+            rs.received += land(&mut rs.buf, offset as usize, &data) as u64;
         }
         let bf = self.p.cfg.pull_block_frags;
         let (progress, next_block, blocks_total) = {
@@ -364,13 +323,7 @@ impl Cluster {
                 .expect("checked");
             p.bytes_done += len;
             p.last_progress = fin;
-            if let Some(h) = copy_handle {
-                p.pending_copies.push(PendingCopy {
-                    handle: h,
-                    skbs: 1,
-                    bytes: len,
-                });
-            }
+            p.pending_copies.extend(submitted);
             let progress = p
                 .note_frag(frag_idx, bf)
                 // omx-lint: allow(fast-path-panic) stale/duplicate fragments were filtered by the freshness check on BH entry [test: tests/fault_soak.rs::duplicate_everything_is_idempotent]
@@ -387,13 +340,13 @@ impl Cluster {
                 self.credit_release_block(node, recv_handle);
                 self.credit_maybe_regrow(node, fin);
                 if !all_arrived {
-                    fin = self.pull_cleanup(sim, node, core, recv_handle, fin);
+                    fin = self.pull_cleanup(node, core, recv_handle, fin);
                     self.credit_enqueue(node, recv_handle);
                 }
                 fin = self.credit_pump(sim, node, core, fin, category::BH);
             }
         } else if block_done && next_block < blocks_total && !all_arrived {
-            fin = self.pull_cleanup(sim, node, core, recv_handle, fin);
+            fin = self.pull_cleanup(node, core, recv_handle, fin);
             let (_, f) = self.run_core(node, core, fin, self.p.cfg.ctrl_frame_cost, category::BH);
             fin = f;
             self.node_mut(node)
@@ -412,84 +365,26 @@ impl Cluster {
         fin
     }
 
-    /// The §III-B cleanup routine: poll the DMA channel once, release
-    /// the skbuffs of completed copies. The same poll doubles as the
-    /// stuck-channel detector: any copy whose completion lies further
-    /// than the stall deadline in the future is re-done on the CPU and
-    /// its channel quarantined.
+    /// The §III-B cleanup routine: poll the DMA channel once and
+    /// release the skbuffs of completed copies — the same poll rescues
+    /// copies stuck on a dead channel (see [`Self::reap_copies`]).
     pub(crate) fn pull_cleanup(
         &mut self,
-        sim: &mut Sim<Cluster>,
         node: NodeId,
         core: CoreId,
         recv_handle: u32,
         from: Ps,
     ) -> Ps {
-        let _ = sim;
-        let has_pending = self
-            .node(node)
-            .driver
-            .pulls
-            .get(&recv_handle)
-            .is_some_and(|p| !p.pending_copies.is_empty());
-        if !has_pending {
+        let page = self.p.hw.page_size;
+        let Some(p) = self.node_mut(node).driver.pulls.get_mut(&recv_handle) else {
             return from;
-        }
-        let (_, fin) = self.run_core(node, core, from, self.p.hw.ioat_poll_cost, category::BH);
-        let fin = self.rescue_stuck_copies(node, core, recv_handle, fin);
-        let freed = self
-            .node_mut(node)
-            .driver
-            .pulls
-            .get_mut(&recv_handle)
-            .map(|p| p.reap_completed(fin))
-            .unwrap_or(0);
-        self.node_mut(node).driver.release_skbuffs(freed);
-        fin
-    }
-
-    /// Completion-poll deadline handling (the dmaengine-style recovery
-    /// half of the fault model): pending copies whose completion is
-    /// further than `cfg.ioat_stall_deadline` away are declared stuck.
-    /// The driver re-does each on the CPU (the fragment data was
-    /// already applied at arrival, so this charges the memcpy time and
-    /// frees the pinned skbuffs) and quarantines the offending channel
-    /// until the re-probe cool-down expires.
-    fn rescue_stuck_copies(
-        &mut self,
-        node: NodeId,
-        core: CoreId,
-        recv_handle: u32,
-        from: Ps,
-    ) -> Ps {
-        let deadline = self.p.cfg.ioat_stall_deadline;
-        // Reusable extraction buffer: taken from the per-node scratch
-        // (leaving an unallocated empty vec behind) and handed back
-        // below, so the poll path never touches the allocator.
-        let mut stuck = std::mem::take(&mut self.node_mut(node).driver.scratch.stuck);
-        stuck.clear();
-        let ep = match self.node_mut(node).driver.pulls.get_mut(&recv_handle) {
-            Some(p) => {
-                p.take_stuck(from, deadline, &mut stuck);
-                Some(p.ep)
-            }
-            None => None,
         };
-        let mut fin = from;
-        for pc in stuck.drain(..) {
-            let copy = self.bh_copy_cost(pc.bytes);
-            let (_, f) = self.run_core(node, core, fin, copy, category::BH);
-            self.metrics.busy(node.0, "bh.copy", copy);
-            fin = f;
-            self.record_ioat_fallback(node, fin, pc.bytes);
-            if let Some(ep) = ep {
-                self.ep_mut(EpAddr { node, ep }).counters.copies_fallback += 1;
-            }
-            self.node_mut(node).driver.release_skbuffs(pc.skbs);
-            let until = fin + self.p.cfg.ioat_quarantine_cooldown;
-            self.quarantine_channel(node, pc.handle.channel, until);
+        let ctx = CopyCtx::bh(EpAddr { node, ep: p.ep }, core, page);
+        let mut pending = std::mem::take(&mut p.pending_copies);
+        let fin = self.reap_copies(&ctx, &mut pending, from);
+        if let Some(p) = self.node_mut(node).driver.pulls.get_mut(&recv_handle) {
+            p.pending_copies = pending;
         }
-        self.node_mut(node).driver.scratch.stuck = stuck;
         fin
     }
 
@@ -504,40 +399,17 @@ impl Cluster {
         recv_handle: u32,
         from: Ps,
     ) -> Ps {
-        // Rescue stuck copies first — otherwise the busy-poll below
-        // would wait for a completion that never comes.
-        let mut fin = self.rescue_stuck_copies(node, core, recv_handle, from);
-        let last_finish = self
-            .node(node)
-            .driver
-            .pulls
-            .get(&recv_handle)
-            .and_then(|p| p.last_copy_finish());
-        if let Some(t) = last_finish {
-            // Busy-poll until every pending copy completed.
-            let wait = t.saturating_sub(fin) + self.p.hw.ioat_poll_cost;
-            let (_, f) = self.run_core(node, core, fin, wait, category::BH);
-            self.metrics.busy(node.0, "ioat.poll_wait", wait);
-            fin = f;
-        }
         let pull = self
             .node_mut(node)
             .driver
             .pulls
             .remove(&recv_handle)
             .expect("completing an existing pull");
-        let held: u64 = pull.pending_copies.iter().map(|pc| pc.skbs).sum();
-        self.node_mut(node).driver.release_skbuffs(held);
-        // Every remaining pending copy finished inside the busy-poll
-        // above: observe each completion exactly once, then retire the
-        // descriptors and the pull handle itself.
-        for pc in &pull.pending_copies {
-            SimSanitizer::complete(pc.handle.san);
-            SimSanitizer::release(pc.handle.san);
-        }
+        let me = EpAddr { node, ep: pull.ep };
+        let ctx = CopyCtx::bh(me, core, self.p.hw.page_size);
+        let (mut fin, _) = self.wait_copies(&ctx, &pull.pending_copies, from);
         SimSanitizer::complete(pull.token());
         SimSanitizer::release(pull.token());
-        let me = EpAddr { node, ep: pull.ep };
         // Duplicate-suppress and release the pinned region.
         self.ep_mut(me).record_completed_seq(pull.src, pull.msg_seq);
         let region = self.ep(me).recvs.get(&pull.req).and_then(|r| r.region);
@@ -687,14 +559,10 @@ impl Cluster {
             // The peer stopped responding entirely: abandon the pull so
             // the simulation drains instead of spinning forever,
             // releasing any skbuffs its pending copies still held.
-            if let Some(p) = self.node_mut(node).driver.pulls.remove(&handle) {
-                let held: u64 = p.pending_copies.iter().map(|pc| pc.skbs).sum();
-                self.node_mut(node).driver.release_skbuffs(held);
+            if let Some(mut p) = self.node_mut(node).driver.pulls.remove(&handle) {
                 // Abandoned without completing: the descriptors and the
                 // pull handle go straight to released.
-                for pc in &p.pending_copies {
-                    SimSanitizer::release(pc.handle.san);
-                }
+                self.abandon_copies(node, &mut p.pending_copies);
                 SimSanitizer::release(p.token());
                 if self.p.cfg.pull_credits {
                     // Return the abandoned pull's credits so waiters
@@ -724,7 +592,7 @@ impl Cluster {
             p.rto = next_rto;
         }
         let core = self.ep(EpAddr { node, ep }).core;
-        let mut fin = self.pull_cleanup(sim, node, core, handle, now);
+        let mut fin = self.pull_cleanup(node, core, handle, now);
         let stalled: Vec<u32> = {
             let p = self.node(node).driver.pulls.get(&handle).expect("alive");
             (0..p.next_block)

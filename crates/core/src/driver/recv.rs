@@ -5,14 +5,14 @@
 use crate::app::Completion;
 use crate::cluster::Cluster;
 use crate::config::MsgClass;
+use crate::driver::copy::{CopyCtx, CopySite};
 use crate::events::Event;
 use crate::proto::Packet;
 use crate::{EpAddr, EpIdx, NodeId, ReqId};
 use bytes::Bytes;
 use omx_ethernet::Skbuff;
 use omx_hw::cpu::category;
-use omx_hw::mem::{CopyContext, MemModel};
-use omx_hw::{CoreId, Distance, IoatEngine};
+use omx_hw::CoreId;
 use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
 
@@ -21,45 +21,6 @@ use omx_sim::{Ps, Sim};
 const MAX_RETX_ATTEMPTS: u32 = 10;
 
 impl Cluster {
-    /// CPU cost of the BH copying `bytes` out of an skbuff with page
-    /// chunking. Honors the Fig 3 counterfactual switch.
-    ///
-    /// Public so calibration tools and property tests can probe the
-    /// copy-cost model directly.
-    pub fn bh_copy_cost(&self, bytes: u64) -> Ps {
-        if self.p.cfg.ignore_bh_copy || bytes == 0 {
-            return Ps::ZERO;
-        }
-        // With Direct Cache Access the NIC steered part of the payload
-        // into the BH core's cache; the copy's read side is partially
-        // warm (the write side still streams to memory, so the gain is
-        // bounded well below the fully-cached rate).
-        let cached_fraction = if self.p.cfg.dca_enabled { 0.35 } else { 0.0 };
-        let ctx = CopyContext {
-            distance: Distance::SameSocket,
-            cached_fraction,
-            shared_cache_pair: false,
-        };
-        MemModel::copy_time_paged(&self.p.hw, bytes, &ctx).scale(self.p.cfg.bh_copy_slowdown)
-    }
-
-    /// Like [`Self::bh_copy_cost`] but with an explicit chunk
-    /// granularity (vectorial destination buffers).
-    pub fn bh_copy_cost_chunked(&self, bytes: u64, chunk: u64) -> Ps {
-        if self.p.cfg.ignore_bh_copy || bytes == 0 {
-            return Ps::ZERO;
-        }
-        let chunk = chunk.min(self.p.hw.page_size).max(1);
-        let chunks = bytes.div_ceil(chunk).max(1);
-        let cached_fraction = if self.p.cfg.dca_enabled { 0.35 } else { 0.0 };
-        let ctx = CopyContext {
-            distance: Distance::SameSocket,
-            cached_fraction,
-            shared_cache_pair: false,
-        };
-        MemModel::copy_time(&self.p.hw, bytes, chunks, &ctx).scale(self.p.cfg.bh_copy_slowdown)
-    }
-
     /// Per-fragment protocol bookkeeping cost in the BH. A fragment
     /// that arrived as the tail of a GRO-coalesced frame train
     /// (`coalesced`) skips the per-frame header parse and endpoint
@@ -69,35 +30,6 @@ impl Cluster {
             self.p.cfg.gro_frag_process
         } else {
             self.p.cfg.bh_frag_process
-        }
-    }
-
-    /// Descriptors needed for an I/OAT copy into `[offset, offset+len)`
-    /// of a page-aligned destination region ("one or two chunks per
-    /// page": one per destination page boundary crossed).
-    pub(crate) fn desc_count(&self, offset: u64, len: u64) -> u64 {
-        if len == 0 {
-            // Nothing to move: no descriptor is built or submitted
-            // (mirrors `IoatEngine::descriptors_for`).
-            return 0;
-        }
-        let page = self.p.hw.page_size;
-        let first = offset / page;
-        let last = (offset + len - 1) / page;
-        last - first + 1
-    }
-
-    /// CPU submission cost for `ndesc` descriptors at one driver
-    /// submit site. With `OmxConfig::ioat_batch` the descriptors are
-    /// chained behind one doorbell — and a GRO frame-train tail
-    /// (`coalesced`) appends to the chain the train head already rang,
-    /// paying no doorbell at all. Off (the default), every descriptor
-    /// pays the paper's full 350 ns submission (§IV-A).
-    pub(crate) fn ioat_submit_cost(&self, ndesc: u64, coalesced: bool) -> Ps {
-        if self.p.cfg.ioat_batch {
-            IoatEngine::submit_cpu_cost_batched(&self.p.hw, ndesc, !coalesced)
-        } else {
-            IoatEngine::submit_cpu_cost(&self.p.hw, ndesc)
         }
     }
 
@@ -699,17 +631,9 @@ impl Cluster {
     ) -> Ps {
         let src = self.addr_of(src_node, src_ep);
         let me = self.addr_of(node, dst_ep);
-        let copy = self.bh_copy_cost(data.len() as u64);
-        let process = self.p.cfg.bh_frag_process + copy;
-        let (_, fin) = self.run_core(node, core, sim.now(), process, category::BH);
-        self.metrics.busy(node.0, "bh.copy", copy);
-        self.metrics
-            .count(node.0, "bh.copy_bytes", data.len() as u64);
-        {
-            let c = &mut self.ep_mut(me).counters;
-            c.copies_memcpy += 1;
-            c.bytes_memcpy += data.len() as u64;
-        }
+        let ctx = CopyCtx::bh(me, core, self.p.hw.page_size);
+        let work = self.p.cfg.bh_frag_process;
+        let fin = self.memcpy_copy(&ctx, sim.now(), work, data.len() as u64);
         if self.ep(me).seq_completed(src, msg_seq) {
             self.stats.duplicates_dropped += 1;
             return self.send_ack(sim, node, core, src, dst_ep, msg_seq, fin);
@@ -801,74 +725,20 @@ impl Cluster {
         }
         if self.p.cfg.kernel_matching {
             return self.rx_medium_kernel_match(
-                sim, node, core, src, me, match_info, msg_seq, msg_len, frag_idx, frag_count,
-                offset, data, coalesced,
+                sim, node, core, src, me, match_info, msg_seq, msg_len, offset, data, coalesced,
             );
         }
         // Synchronous copy into a statically pinned ring slot: memcpy,
         // or (optionally, §III-C/IV-C) a synchronous I/OAT copy that
         // the BH must busy-poll — the measured medium-path degradation.
         let len = data.len() as u64;
-        let mut work = self.bh_frag_cost(coalesced);
-        let mut fin;
-        if self.p.cfg.ioat_medium_sync
-            && !self.p.cfg.ignore_bh_copy
-            && len >= self.p.cfg.ioat_frag_threshold
-        {
-            // Ring-slot copies source from the skbuff payload, which
-            // starts just past the packet header and is never page
-            // aligned: "one or two chunks per page" (§IV-A) — here two.
-            let ndesc = self.desc_count(offset as u64, len) + 1;
-            let submit = self.ioat_submit_cost(ndesc, coalesced);
-            work += submit;
-            let (_, submit_fin) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, "ioat.submit_cpu", submit);
-            let ch = self.pick_healthy_channel(node, submit_fin);
-            let (hw, n) = self.hw_node_mut(node);
-            let handle = n.ioat.submit(hw, submit_fin, ch, len, ndesc);
-            if handle.finish >= omx_hw::ioat::STALLED_FOREVER {
-                // The channel died underneath the copy: busy-polling
-                // here would never return. Quarantine it and re-do the
-                // copy on the CPU.
-                let until = submit_fin + self.p.cfg.ioat_quarantine_cooldown;
-                self.quarantine_channel(node, ch, until);
-                // The descriptor never completes on the dead channel:
-                // release it without a complete.
-                SimSanitizer::release(handle.san);
-                let copy = self.bh_copy_cost(len);
-                let (_, f) = self.run_core(node, core, submit_fin, copy, category::BH);
-                self.metrics.busy(node.0, "bh.copy", copy);
-                self.metrics.count(node.0, "bh.copy_bytes", len);
-                fin = f;
-                self.record_ioat_fallback(node, fin, len);
-                let c = &mut self.ep_mut(me).counters;
-                c.copies_fallback += 1;
-                c.copies_memcpy += 1;
-                c.bytes_memcpy += len;
-            } else {
-                // Busy-poll until the copy completes.
-                let wait = handle.finish.saturating_sub(submit_fin) + self.p.hw.ioat_poll_cost;
-                let (_, f) = self.run_core(node, core, submit_fin, wait, category::BH);
-                self.metrics.busy(node.0, "ioat.poll_wait", wait);
-                fin = f;
-                // Busy-polled to completion: reap the descriptor.
-                SimSanitizer::complete(handle.san);
-                SimSanitizer::release(handle.san);
-                let c = &mut self.ep_mut(me).counters;
-                c.copies_offloaded += 1;
-                c.bytes_offloaded += len;
-            }
-        } else {
-            let copy = self.bh_copy_cost(len);
-            work += copy;
-            let (_, f) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, "bh.copy", copy);
-            self.metrics.count(node.0, "bh.copy_bytes", len);
-            fin = f;
-            let c = &mut self.ep_mut(me).counters;
-            c.copies_memcpy += 1;
-            c.bytes_memcpy += len;
-        }
+        let ctx = CopyCtx::bh(me, core, self.p.hw.page_size);
+        let site = CopySite::MediumSync {
+            offset: offset as u64,
+            len,
+        };
+        let pick = |c: &mut Cluster| c.pick_healthy_channel(node, now);
+        let (mut fin, _) = self.copy_fragment(&ctx, site, now, coalesced, pick);
         let Some(slot) = self.ep_mut(me).slots.fill(&data) else {
             // Ring exhausted: the fragment is lost. Clear its dedup bit
             // so the sender's retransmission is accepted.

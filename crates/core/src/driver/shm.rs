@@ -14,20 +14,21 @@
 
 use crate::cluster::Cluster;
 use crate::config::{MsgClass, SyncWaitPolicy};
+use crate::driver::copy::{CopyCtx, CopySite, CpuCopy};
+use crate::endpoint::land;
 use crate::events::Event;
 use crate::{EpAddr, ReqId};
 use omx_hw::cache::RegionKey;
 use omx_hw::cpu::category;
 use omx_hw::mem::{CopyContext, MemModel};
 use omx_hw::{CopySegment, Distance, IoatEngine};
-use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
 
 impl Cluster {
     /// Cost of one driver (syscall-context) CPU copy of `len` bytes
     /// from the buffer tagged `src_tag` (owned by a process on
     /// `src_core`) executed on `dst_core` of `node`.
-    fn shm_memcpy_cost(
+    pub(super) fn shm_memcpy_cost(
         &mut self,
         node: crate::NodeId,
         dst_core: omx_hw::CoreId,
@@ -262,7 +263,7 @@ impl Cluster {
         let node = me.node;
         let core = self.ep(me).core;
         let syscall = self.p.hw.syscall_cost + self.p.cfg.driver_cmd_cost;
-        let (_, mut fin) = self.run_core(node, core, from, syscall, category::DRIVER);
+        let (_, fin) = self.run_core(node, core, from, syscall, category::DRIVER);
         // Pull the source data and tags out of the sender's state.
         let tx = self
             .node(node)
@@ -281,201 +282,28 @@ impl Cluster {
             rs.total = msg_len;
         }
         self.ep_mut(me).counters.shm_pulls += 1;
-        let offload = self.p.cfg.offload_shm_copy(msg_len);
-        {
-            let c = &mut self.ep_mut(me).counters;
-            if offload {
-                c.copies_offloaded += 1;
-                c.bytes_offloaded += msg_len;
-            } else {
-                c.copies_memcpy += 1;
-                c.bytes_memcpy += msg_len;
-            }
-        }
-        if offload {
-            // I/OAT needs both buffers pinned.
-            let src_key = src_tag.unwrap_or(tx.req.0 | (1 << 61));
-            let dst_key = dst_tag.unwrap_or(req.0 | (1 << 62));
-            let (hw, ep) = self.hw_ep_mut(me);
-            let reg_src = ep.regions.register(hw, src_key, msg_len);
-            let reg_dst = ep.regions.register(hw, dst_key, msg_len);
-            let (_, f) = self.run_core(
-                node,
-                core,
-                fin,
-                reg_src.cost + reg_dst.cost,
-                category::DRIVER,
-            );
-            fin = f;
-            // Submit one descriptor per page. Submission pipelines with
-            // execution: the channel starts after the *first*
-            // descriptor lands while the CPU keeps feeding the rest
-            // (350 ns each < the ~1.6 us a 4 kB descriptor executes).
-            let ndesc = IoatEngine::descriptors_for(msg_len, self.p.hw.page_size);
-            // An intranode pull is one message: under `ioat_batch` the
-            // whole descriptor chain rings a single doorbell.
-            let submit = self.ioat_submit_cost(ndesc, false);
-            let (_, submit_fin) = self.run_core(node, core, fin, submit, category::DRIVER);
-            self.metrics.busy(node.0, "ioat.submit_cpu", submit);
-            let first_desc_at = fin + self.p.hw.ioat_submit_cpu;
-            let page_size = self.p.hw.page_size;
-            let multichannel = self.p.cfg.ioat_multichannel_split;
-            let single_ch = if multichannel {
-                0
-            } else {
-                self.pick_healthy_channel(node, first_desc_at)
-            };
-            // Build the segment list in the per-node scratch (taken out
-            // of the driver for the duration so `self` stays usable),
-            // then hand the whole chain to the engine in one call.
-            let mut segments = std::mem::take(&mut self.node_mut(node).driver.scratch.segments);
-            let mut handles = std::mem::take(&mut self.node_mut(node).driver.scratch.handles);
-            segments.clear();
-            handles.clear();
-            if multichannel {
-                // Split across all channels; completion is the max.
-                let channels = self.node(node).ioat.num_channels() as u64;
-                let per = msg_len / channels;
-                for ch in 0..channels as usize {
-                    let bytes = if ch as u64 == channels - 1 {
-                        msg_len - per * (channels - 1)
-                    } else {
-                        per
-                    };
-                    segments.push(CopySegment {
-                        channel: ch,
-                        bytes,
-                        descriptors: IoatEngine::descriptors_for(bytes, page_size),
-                    });
-                }
-            } else {
-                segments.push(CopySegment {
-                    channel: single_ch,
-                    bytes: msg_len,
-                    descriptors: ndesc,
-                });
-            }
-            let (hw, n) = self.hw_node_mut(node);
-            n.ioat
-                .submit_batch(hw, first_desc_at, &segments, &mut handles);
-            let mut handle_finish = if multichannel {
-                first_desc_at
-            } else {
-                submit_fin
-            };
-            let mut any_stalled = false;
-            for h in &handles {
-                if h.finish >= omx_hw::ioat::STALLED_FOREVER {
-                    any_stalled = true;
-                }
-                handle_finish = handle_finish.max(h.finish);
-            }
-            // The offloaded copy bypasses caches: stale destination
-            // lines become invalid.
-            if let Some(t) = dst_tag {
-                self.node_mut(node).cache.invalidate(RegionKey(t));
-            }
-            // Release the registrations (the cache defers the unpin,
-            // so repeated transfers of the same buffers pin for free).
-            self.ep_mut(me).regions.release(reg_src.region);
-            self.ep_mut(me).regions.release(reg_dst.region);
-            let done = if any_stalled {
-                // The engine died underneath the copy: both wait
-                // policies below would wait forever. Quarantine the
-                // dead channel(s) and re-do the copy on the CPU (the
-                // predictor is *not* fed — a fallback memcpy says
-                // nothing about healthy-channel copy latency). Every
-                // submitted descriptor — including the healthy ones
-                // nobody will poll again — is abandoned: release
-                // without completing.
-                for h in &handles {
-                    SimSanitizer::release(h.san);
-                }
-                let cooldown = self.p.cfg.ioat_quarantine_cooldown;
-                for (seg, h) in segments.iter().zip(handles.iter()) {
-                    if h.finish >= omx_hw::ioat::STALLED_FOREVER {
-                        self.quarantine_channel(node, seg.channel, submit_fin + cooldown);
-                    }
-                }
-                self.record_ioat_fallback(node, submit_fin, msg_len);
-                {
-                    // The copy ends up on the CPU after all: move the
-                    // bytes from the offload counters to the memcpy
-                    // counters so `omx_counters` reflects what ran.
-                    let c = &mut self.ep_mut(me).counters;
-                    c.copies_offloaded -= 1;
-                    c.bytes_offloaded -= msg_len;
-                    c.copies_fallback += 1;
-                    c.copies_memcpy += 1;
-                    c.bytes_memcpy += msg_len;
-                }
-                let cost = self.shm_memcpy_cost(node, core, src_core, src_tag, dst_tag, msg_len);
-                let (_, f) = self.run_core(node, core, submit_fin, cost, category::DRIVER);
-                f
-            } else {
-                // The wait below (busy-poll or sleep+poll) reaches
-                // `handle_finish`, so every descriptor completes.
-                for h in &handles {
-                    SimSanitizer::complete(h.san);
-                    SimSanitizer::release(h.san);
-                }
-                match self.p.cfg.sync_wait {
-                    SyncWaitPolicy::BusyPoll => {
-                        let wait =
-                            handle_finish.saturating_sub(submit_fin) + self.p.hw.ioat_poll_cost;
-                        let (_, f) = self.run_core(node, core, submit_fin, wait, category::DRIVER);
-                        self.metrics.busy(node.0, "ioat.poll_wait", wait);
-                        f
-                    }
-                    SyncWaitPolicy::SleepPredicted => {
-                        // Sleep until the predicted completion, then poll;
-                        // busy-poll any remainder (extension, §VI).
-                        let predicted = {
-                            let n = self.node_mut(node);
-                            submit_fin + n.predictor.predict(msg_len)
-                        };
-                        let wake = predicted.max(submit_fin);
-                        let f = if wake >= handle_finish {
-                            let (_, f) = self.run_core(
-                                node,
-                                core,
-                                wake,
-                                self.p.hw.ioat_poll_cost,
-                                category::DRIVER,
-                            );
-                            self.metrics
-                                .busy(node.0, "ioat.poll_wait", self.p.hw.ioat_poll_cost);
-                            f
-                        } else {
-                            let wait =
-                                handle_finish.saturating_sub(wake) + self.p.hw.ioat_poll_cost;
-                            let (_, f) = self.run_core(node, core, wake, wait, category::DRIVER);
-                            self.metrics.busy(node.0, "ioat.poll_wait", wait);
-                            f
-                        };
-                        let actual = handle_finish.saturating_sub(submit_fin);
-                        self.node_mut(node).predictor.observe(msg_len, actual);
-                        f
-                    }
-                }
-            };
-            fin = done;
-            let scratch = &mut self.node_mut(node).driver.scratch;
-            scratch.segments = segments;
-            scratch.handles = handles;
-        } else {
-            let cost = self.shm_memcpy_cost(node, core, src_core, src_tag, dst_tag, msg_len);
-            let (_, f) = self.run_core(node, core, fin, cost, category::DRIVER);
-            fin = f;
-        }
-        // Apply the bytes.
-        {
-            let ep = self.ep_mut(me);
-            if let Some(rs) = ep.recvs.get_mut(&req) {
-                let n = (msg_len as usize).min(rs.buf.len()).min(data.len());
-                rs.buf[..n].copy_from_slice(&data[..n]);
-                rs.received = n as u64;
-            }
+        let ctx = CopyCtx {
+            me,
+            core,
+            cat: category::DRIVER,
+            cpu: CpuCopy::Shm {
+                src_core,
+                src_tag,
+                dst_tag,
+            },
+        };
+        let keys = (
+            src_tag.unwrap_or(tx.req.0 | (1 << 61)),
+            dst_tag.unwrap_or(req.0 | (1 << 62)),
+        );
+        let offload = CopySite::Shm { len: msg_len }.offloads(&self.p.cfg);
+        let fin = offload
+            .then(|| self.shm_offload_copy(&ctx, keys, msg_len, fin))
+            .flatten()
+            .unwrap_or_else(|| self.memcpy_copy(&ctx, fin, Ps::ZERO, msg_len));
+        // Apply the bytes (the sender's data is `msg_len` long).
+        if let Some(rs) = self.ep_mut(me).recvs.get_mut(&req) {
+            rs.received = land(&mut rs.buf, 0, &data) as u64;
         }
         // Complete both sides.
         self.node_mut(node).driver.tx_large.remove(&sender_handle);
@@ -485,5 +313,101 @@ impl Cluster {
         }
         self.push_event_at(sim, src, Event::SendDone { req: tx.req }, fin);
         self.push_event_at(sim, me, Event::RecvLargeDone { req, len: msg_len }, fin);
+    }
+
+    /// The synchronous I/OAT one-copy of a local pull (§III-C): pick
+    /// the channel(s), pin both buffers (`keys`: source and destination
+    /// registration tags), submit one descriptor chain and wait for it
+    /// — busy-polling, or with `SleepPredicted` sleeping until the
+    /// predicted completion first. Returns `None` when the health gate
+    /// demoted the copy to memcpy.
+    fn shm_offload_copy(
+        &mut self,
+        ctx: &CopyCtx,
+        (src_key, dst_key): (u64, u64),
+        msg_len: u64,
+        from: Ps,
+    ) -> Option<Ps> {
+        let (me, node) = (ctx.me, ctx.me.node);
+        let page_size = self.p.hw.page_size;
+        // Build the segment list in the per-node scratch (taken out of
+        // the driver for the duration so `self` stays usable).
+        let mut segments = std::mem::take(&mut self.node_mut(node).driver.scratch.segments);
+        segments.clear();
+        if self.p.cfg.ioat_multichannel_split {
+            // Split across all channels; completion is the max.
+            let channels = self.node(node).ioat.num_channels() as u64;
+            let per = msg_len / channels;
+            for ch in 0..channels {
+                let bytes = if ch == channels - 1 {
+                    msg_len - per * (channels - 1)
+                } else {
+                    per
+                };
+                segments.push(CopySegment {
+                    channel: ch as usize,
+                    bytes,
+                    descriptors: IoatEngine::descriptors_for(bytes, page_size),
+                });
+            }
+        } else {
+            segments.push(CopySegment {
+                channel: self.pick_healthy_channel(node, from),
+                bytes: msg_len,
+                descriptors: IoatEngine::descriptors_for(msg_len, page_size),
+            });
+        }
+        if !self.copy_gate(me, segments.iter().map(|s| s.channel), from, msg_len) {
+            self.node_mut(node).driver.scratch.segments = segments;
+            return None;
+        }
+        // I/OAT needs both buffers pinned.
+        let (hw, ep) = self.hw_ep_mut(me);
+        let reg_src = ep.regions.register(hw, src_key, msg_len);
+        let reg_dst = ep.regions.register(hw, dst_key, msg_len);
+        let pin = reg_src.cost + reg_dst.cost;
+        let (_, fin) = self.run_core(node, ctx.core, from, pin, category::DRIVER);
+        // One descriptor per page; an intranode pull is one message, so
+        // under `ioat_batch` the whole chain rings a single doorbell.
+        let ndesc = IoatEngine::descriptors_for(msg_len, page_size);
+        let submit_fin = self.charge_submit(ctx, fin, Ps::ZERO, ndesc, msg_len, false);
+        // Submission pipelines with execution: the engine starts once the
+        // first descriptor lands while the CPU keeps feeding the rest.
+        let first_desc_at = fin + self.p.hw.ioat_submit_cpu;
+        let mut pending = self.node_mut(node).driver.scratch.take_pending();
+        for &seg in &segments {
+            pending.push(self.submit_segment(node, first_desc_at, seg, 0));
+        }
+        self.node_mut(node).driver.scratch.segments = segments;
+        // The offloaded copy bypasses caches: stale destination lines
+        // become invalid.
+        if let CpuCopy::Shm {
+            dst_tag: Some(t), ..
+        } = ctx.cpu
+        {
+            self.node_mut(node).cache.invalidate(RegionKey(t));
+        }
+        // Release the registrations (the cache defers the unpin, so
+        // repeated transfers of the same buffers pin for free).
+        self.ep_mut(me).regions.release(reg_src.region);
+        self.ep_mut(me).regions.release(reg_dst.region);
+        // Sleep until the predicted completion, then poll; the drain
+        // busy-polls any remainder (extension, §VI).
+        let sleep = self.p.cfg.sync_wait == SyncWaitPolicy::SleepPredicted;
+        let wake = if sleep {
+            submit_fin + self.node_mut(node).predictor.predict(msg_len)
+        } else {
+            submit_fin
+        };
+        let last = pending.iter().map(|pc| pc.handle.finish).max();
+        let (done, rescued) = self.wait_copies(ctx, &pending, wake);
+        self.node_mut(node).driver.scratch.put_pending(pending);
+        // A rescued copy says nothing about healthy-channel latency:
+        // only clean waits feed the predictor.
+        if sleep && rescued == 0 {
+            let actual = last.unwrap_or(submit_fin).saturating_sub(submit_fin);
+            self.node_mut(node).predictor.observe(msg_len, actual);
+        }
+        Some(done)
     }
 }

@@ -55,6 +55,17 @@ pub struct SendState {
     pub rto: omx_sim::Ps,
 }
 
+/// Land `data` at `offset` of a receive buffer, clipped to the buffer:
+/// the byte move of every receive copy. Returns the bytes written.
+pub(crate) fn land(buf: &mut [u8], offset: usize, data: &[u8]) -> usize {
+    let start = offset.min(buf.len());
+    let n = data.len().min(buf.len() - start);
+    if let (Some(dst), Some(src)) = (buf.get_mut(start..start + n), data.get(..n)) {
+        dst.copy_from_slice(src);
+    }
+    n
+}
+
 /// An outstanding receive request.
 #[derive(Debug)]
 pub struct RecvState {

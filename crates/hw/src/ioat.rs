@@ -33,6 +33,11 @@ pub struct CopyHandle {
     pub cookie: u64,
     /// Time at which the hardware finishes this copy.
     pub finish: Ps,
+    /// Time at which a healthy engine would finish it: queueing behind
+    /// earlier copies on its channel and on the memory port included,
+    /// scheduled faults not. `finish` lies past it only when a fault
+    /// caught the copy, so stall deadlines are measured from here.
+    pub healthy_finish: Ps,
     /// Lifecycle sanitizer token (zero-sized in release builds). The
     /// handle is minted in the `submitted` state; the driver that
     /// reaps or abandons the copy must `complete`/`release` it.
@@ -208,14 +213,13 @@ impl IoatEngine {
     /// completion-poll deadline fired). Returns `true` when the channel
     /// was not already quarantined — callers count that as one
     /// quarantine event. An existing quarantine is only ever extended,
-    /// never shortened.
+    /// never shortened; a channel the engine does not have is ignored.
     pub fn quarantine(&mut self, channel: usize, until: Ps) -> bool {
-        let existing = self.channels[channel].quarantined_until;
-        let newly = existing.is_none();
-        self.channels[channel].quarantined_until = Some(match existing {
-            Some(e) => e.max(until),
-            None => until,
-        });
+        let Some(ch) = self.channels.get_mut(channel) else {
+            return false;
+        };
+        let newly = ch.quarantined_until.is_none();
+        ch.quarantined_until = Some(ch.quarantined_until.map_or(until, |e| e.max(until)));
         if newly {
             self.metrics.count(self.scope, "ioat.quarantines", 1);
         }
@@ -226,12 +230,16 @@ impl IoatEngine {
     /// expired quarantine is cleared here — the dmaengine-style
     /// re-probe: the channel gets another chance, and if it is still
     /// dead the next poll deadline quarantines it again.
+    /// A channel the engine does not have is never usable.
     pub fn probe_channel(&mut self, channel: usize, now: Ps) -> ChannelProbe {
-        match self.channels[channel].quarantined_until {
+        let Some(ch) = self.channels.get_mut(channel) else {
+            return ChannelProbe::Quarantined;
+        };
+        match ch.quarantined_until {
             None => ChannelProbe::Healthy,
             Some(until) if now < until => ChannelProbe::Quarantined,
             Some(_) => {
-                self.channels[channel].quarantined_until = None;
+                ch.quarantined_until = None;
                 self.metrics.count(self.scope, "ioat.reprobes", 1);
                 ChannelProbe::Reprobed
             }
@@ -259,7 +267,8 @@ impl IoatEngine {
     ///
     /// A zero-length copy costs nothing: no descriptor is queued, no
     /// channel or memory-port time is consumed, and the returned handle
-    /// completes immediately at `now`.
+    /// completes immediately at `now`. A channel the engine does not
+    /// have never answers: its handle reports [`STALLED_FOREVER`].
     #[track_caller]
     pub fn submit(
         &mut self,
@@ -269,38 +278,45 @@ impl IoatEngine {
         bytes: u64,
         descriptors: u64,
     ) -> CopyHandle {
+        let san = SimSanitizer::alloc(Kind::IoatDescriptor);
+        SimSanitizer::submit(san);
+        let Some(ch) = self.channels.get_mut(channel) else {
+            return CopyHandle {
+                channel,
+                cookie: 0,
+                finish: STALLED_FOREVER,
+                healthy_finish: now,
+                san,
+            };
+        };
+        let cookie = ch.next_cookie;
+        ch.next_cookie += 1;
         if bytes == 0 {
-            let ch = &mut self.channels[channel];
-            let cookie = ch.next_cookie;
-            ch.next_cookie += 1;
             self.metrics.count(self.scope, "ioat.zero_len_copies", 1);
-            let san = SimSanitizer::alloc(Kind::IoatDescriptor);
-            SimSanitizer::submit(san);
             return CopyHandle {
                 channel,
                 cookie,
                 finish: now,
+                healthy_finish: now,
                 san,
             };
         }
         let descriptors = descriptors.max(1);
-        let ch = &mut self.channels[channel];
         let service =
             params.ioat_desc_overhead * descriptors + params.ioat_raw_rate.time_for(bytes);
         let (_, ch_finish) = ch.server.admit(now, service);
         // The shared memory port serializes the actual data movement
         // across channels; a copy completes when both its channel and
         // its share of the port are done.
-        let cookie = ch.next_cookie;
-        ch.next_cookie += 1;
         let (_, port_finish) = self
             .memory_port
             .admit(now, params.ioat_aggregate_rate.time_for(bytes));
-        let mut finish = ch_finish.max(port_finish);
+        let healthy_finish = ch_finish.max(port_finish);
+        let mut finish = healthy_finish;
         // Apply scheduled hardware faults: a copy that would retire
         // inside a stall window is pushed past it; a copy caught by a
         // permanent failure never completes (see [`STALLED_FOREVER`]).
-        for f in &self.channels[channel].faults {
+        for f in &ch.faults {
             if finish <= f.at {
                 continue; // retires before the fault hits
             }
@@ -323,12 +339,11 @@ impl IoatEngine {
             .count(self.scope, "ioat.descriptors", descriptors);
         self.metrics
             .trace(now, self.scope, "ioat", "submit", bytes, channel as u64);
-        let san = SimSanitizer::alloc(Kind::IoatDescriptor);
-        SimSanitizer::submit(san);
         CopyHandle {
             channel,
             cookie,
             finish,
+            healthy_finish,
             san,
         }
     }
@@ -501,6 +516,18 @@ mod tests {
         let expect = Ps::us(7) + params.ioat_desc_overhead + params.ioat_raw_rate.time_for(4096);
         assert_eq!(h2.finish, expect);
         assert!(h2.cookie > h.cookie, "cookies stay monotone");
+    }
+
+    #[test]
+    fn missing_channel_is_unusable_and_never_answers() {
+        let params = p();
+        let mut e = IoatEngine::new(&params);
+        let n = e.num_channels();
+        assert_eq!(e.probe_channel(n, Ps::ZERO), ChannelProbe::Quarantined);
+        assert!(!e.quarantine(n, Ps::ms(1)));
+        let h = e.submit(&params, Ps::ZERO, n, 4096, 1);
+        assert_eq!(h.finish, STALLED_FOREVER);
+        assert_eq!(e.bytes_copied(), 0, "nothing was queued");
     }
 
     #[test]

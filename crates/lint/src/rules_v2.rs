@@ -91,12 +91,31 @@ impl Default for RulesConfig {
                 own("open_mx::driver::pull::Cluster::start_pull"),
                 own("open_mx::driver::shm::Cluster::shm_send"),
                 own("open_mx::libproc::Cluster::lib_apply_medium_frag"),
+                // The receive-copy path every data path above shares.
+                own("open_mx::driver::copy::Cluster::copy_gate"),
+                own("open_mx::driver::copy::Cluster::copy_fragment"),
+                own("open_mx::driver::copy::Cluster::submit_segment"),
+                own("open_mx::driver::copy::Cluster::memcpy_copy"),
+                own("open_mx::driver::copy::Cluster::cpu_copy"),
+                own("open_mx::driver::copy::Cluster::reap_copies"),
+                own("open_mx::driver::copy::Cluster::wait_copies"),
+                own("open_mx::driver::copy::Cluster::rescue_stuck"),
+                own("open_mx::driver::copy::Cluster::abandon_copies"),
             ],
             d5_hops: 2,
             d6_entries: vec![
                 own("omx_ethernet::nic::Nic::deliver"),
                 own("omx_ethernet::bh::BottomHalfQueue::pop_next"),
                 own("open_mx::cluster::Cluster::run_bh"),
+                // The receive-copy path the BH's fragment handlers call.
+                own("open_mx::driver::copy::CopySite::offloads"),
+                own("open_mx::driver::copy::CopyCtx::bh"),
+                own("open_mx::driver::copy::Cluster::copy_gate"),
+                own("open_mx::driver::copy::Cluster::copy_fragment"),
+                own("open_mx::driver::copy::Cluster::memcpy_copy"),
+                own("open_mx::driver::copy::Cluster::reap_copies"),
+                own("open_mx::driver::copy::Cluster::wait_copies"),
+                own("open_mx::endpoint::land"),
             ],
             d6_hops: 2,
             knobs: vec![

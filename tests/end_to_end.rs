@@ -4,16 +4,20 @@
 use openmx_repro::hw::CoreId;
 use openmx_repro::omx::cluster::ClusterParams;
 use openmx_repro::omx::config::{OmxConfig, StackKind, SyncWaitPolicy};
-use openmx_repro::omx::harness::{run_pingpong, PingPongConfig, Placement};
+use openmx_repro::omx::harness::{run_pingpong, PingPongConfig, PingPongResult, Placement};
 
-fn pingpong(size: u64, cfg: OmxConfig, placement: Placement) -> f64 {
+fn run(size: u64, cfg: OmxConfig, placement: Placement) -> PingPongResult {
     let params = ClusterParams::with_cfg(cfg);
     let mut c = PingPongConfig::new(params, size, placement);
     c.iters = 6;
     c.warmup = 2;
     let r = run_pingpong(c);
     assert!(r.verified, "payload corrupted at {size} B");
-    r.throughput_mibs
+    r
+}
+
+fn pingpong(size: u64, cfg: OmxConfig, placement: Placement) -> f64 {
+    run(size, cfg, placement).throughput_mibs
 }
 
 fn net() -> Placement {
@@ -78,6 +82,14 @@ fn extension_paths_stay_correct() {
         ..OmxConfig::with_ioat()
     };
     pingpong(16 << 10, msync, net());
+    // `ioat_enabled` is the master switch: the medium-sync knob alone
+    // must not reach the engine.
+    let msync_off = OmxConfig {
+        ioat_medium_sync: true,
+        ..OmxConfig::default()
+    };
+    let r = run(16 << 10, msync_off, net());
+    assert_eq!(r.stats.counters.copies_offloaded, 0, "{:?}", r.stats);
     // Warm-copy head.
     let warm = OmxConfig {
         warm_copy_head_bytes: 32 << 10,

@@ -142,22 +142,135 @@ fn remaining_named_plans_complete_verified() {
     }
 }
 
+/// A permanently dead channel 0 on every node, on each receive-copy
+/// path: large pull (async), kernel-matched medium (async), medium
+/// ring-slot (sync) and the shared-memory one-copy pull (sync). Each
+/// path runs clean and dead; the dead run must rescue or demote its
+/// copies onto the CPU, quarantine the channel, finish within 10× the
+/// clean run and leak nothing, and in both runs every received byte is
+/// counted exactly once as offloaded or memcpy'd.
 #[test]
 fn dead_channel_forces_fallback_and_quarantine() {
-    let r = pingpong(faulty_cfg(FaultPlan::ioat_dead(), 3), 512 << 10, 8);
+    let net = Placement::TwoNodes {
+        core_a: CoreId(2),
+        core_b: CoreId(2),
+    };
+    let shm = Placement::SameNode {
+        core_a: CoreId(0),
+        core_b: CoreId(4),
+    };
+    let with_ioat = OmxConfig::with_ioat();
+    let paths = [
+        ("large pull", with_ioat.clone(), 512 << 10, net),
+        (
+            "kernel matching",
+            OmxConfig {
+                kernel_matching: true,
+                ..with_ioat.clone()
+            },
+            16 << 10,
+            net,
+        ),
+        (
+            "medium sync",
+            OmxConfig {
+                ioat_medium_sync: true,
+                ..with_ioat.clone()
+            },
+            16 << 10,
+            net,
+        ),
+        (
+            "shm",
+            OmxConfig {
+                ioat_shm_threshold: 64 << 10,
+                ..with_ioat
+            },
+            2 << 20,
+            shm,
+        ),
+    ];
+    for (path, base, size, placement) in paths {
+        let run = |plan: FaultPlan| {
+            let cfg = OmxConfig {
+                fault_plan: plan,
+                seed: 3,
+                regcache: false,
+                ..base.clone()
+            };
+            let mut c = PingPongConfig::new(ClusterParams::with_cfg(cfg), size, placement);
+            c.iters = 8;
+            c.warmup = 1;
+            run_pingpong(c)
+        };
+        let clean = run(FaultPlan::default());
+        let dead = run(FaultPlan::ioat_dead());
+        for (plan, r) in [("clean", &clean), ("ioat-dead", &dead)] {
+            let c = &r.stats.counters;
+            assert!(r.verified, "{path}, {plan}: not verified");
+            assert_eq!(r.end_skbuffs_held, 0, "{path}, {plan}: leaked skbuffs");
+            assert_eq!(r.end_pinned_regions, 0, "{path}, {plan}: leaked regions");
+            assert_eq!(
+                c.bytes_offloaded + c.bytes_memcpy,
+                c.rx_bytes,
+                "{path}, {plan}: every received byte is copied once, {c:?}"
+            );
+            assert_eq!(
+                r.stats.ioat_fallback_copies, c.copies_fallback,
+                "{path}, {plan}: the two fallback counts disagree"
+            );
+        }
+        assert!(
+            clean.stats.counters.copies_offloaded > 0,
+            "{path}: the clean run never offloaded"
+        );
+        assert!(
+            dead.stats.ioat_fallback_copies >= 1,
+            "{path}: a dead channel must push copies onto the CPU, stats {:?}",
+            dead.stats
+        );
+        assert!(
+            dead.stats.ioat_quarantines >= 1,
+            "{path}: the dead channel must be quarantined, stats {:?}",
+            dead.stats
+        );
+        assert!(
+            dead.end_time < clean.end_time * 10,
+            "{path}: dead channel took {:?} against {:?} clean",
+            dead.end_time,
+            clean.end_time
+        );
+    }
+}
+
+#[test]
+fn healthy_copies_queued_past_the_stall_deadline_are_not_rescued() {
+    // A 32 MiB shared-memory pull split across every channel: the
+    // segments queue behind each other on the shared memory port and
+    // the last completes several stall deadlines after the driver
+    // starts waiting. That is queueing, not a stall — no copy may be
+    // re-done on the CPU and no channel quarantined.
+    let cfg = OmxConfig {
+        ioat_multichannel_split: true,
+        regcache: false,
+        ..OmxConfig::with_ioat()
+    };
+    let placement = Placement::SameNode {
+        core_a: CoreId(0),
+        core_b: CoreId(4),
+    };
+    let mut c = PingPongConfig::new(ClusterParams::with_cfg(cfg), 32 << 20, placement);
+    c.iters = 2;
+    c.warmup = 0;
+    let r = run_pingpong(c);
     assert!(r.verified);
     assert!(
-        r.stats.ioat_fallback_copies >= 1,
-        "a permanently dead channel must be rescued onto the CPU, stats {:?}",
-        r.stats
+        r.stats.counters.copies_offloaded > 0,
+        "{:?}",
+        r.stats.counters
     );
-    assert!(
-        r.stats.ioat_quarantines >= 1,
-        "the dead channel must be quarantined, stats {:?}",
-        r.stats
-    );
-    assert_eq!(r.end_skbuffs_held, 0);
-    assert_eq!(r.end_pinned_regions, 0);
+    assert_eq!(r.stats.ioat_fallback_copies, 0, "{:?}", r.stats);
+    assert_eq!(r.stats.ioat_quarantines, 0, "{:?}", r.stats);
 }
 
 #[test]
