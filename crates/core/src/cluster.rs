@@ -705,12 +705,10 @@ impl Cluster {
                 match_info,
                 mask,
                 buf,
-                received: 0,
                 total: 0,
                 matched_info: None,
                 tag,
                 region: None,
-                frag_seen: Vec::new(),
                 seg_size,
             },
         );

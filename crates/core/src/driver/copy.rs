@@ -55,7 +55,8 @@ pub(crate) enum CopySite {
     /// synchronously into a ring slot.
     MediumSync { offset: u64, len: u64 },
     /// A kernel-matched medium fragment; `matched` = a posted receive
-    /// owns the destination (unexpected data lands in a kernel buffer).
+    /// owns the destination (unexpected data lands in the unexpected
+    /// message's own buffer).
     KernelMatch {
         offset: u64,
         len: u64,

@@ -10,36 +10,20 @@
 
 use crate::cluster::Cluster;
 use crate::driver::copy::{CopyCtx, CopySite};
-use crate::driver::PendingCopy;
-use crate::endpoint::land;
+use crate::endpoint::Frag;
 use crate::events::Event;
-use crate::matching::PostedRecv;
-use crate::{EpAddr, NodeId, ReqId};
+use crate::{EpAddr, NodeId};
 use bytes::Bytes;
 use omx_hw::cpu::category;
 use omx_hw::CoreId;
 use omx_sim::{Ps, Sim};
 
-/// Driver-side reassembly of one medium message under kernel matching.
-#[derive(Debug)]
-pub struct KernelAssembly {
-    /// Matched receive, or `None` while the message is unexpected (the
-    /// driver then buffers it in `data`).
-    pub req: Option<ReqId>,
-    /// Match information.
-    pub match_info: u64,
-    /// Total message length.
-    pub total: u32,
-    /// Kernel buffer for unexpected data.
-    pub data: Option<Vec<u8>>,
-    /// Outstanding asynchronous fragment copies (a pooled
-    /// [`crate::driver::DriverScratch`] list).
-    pub pending: Vec<PendingCopy>,
-}
-
 impl Cluster {
     /// BH handler for one medium fragment with in-driver matching.
-    /// The caller already deduplicated via the driver bitmap.
+    /// The caller already deduplicated via the driver bitmap. The
+    /// fragment lands through the endpoint's one eager path, so an
+    /// unmatched message waits in the matcher's unexpected queue and a
+    /// receive posted mid-arrival adopts it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn rx_medium_kernel_match(
         &mut self,
@@ -56,79 +40,36 @@ impl Cluster {
         coalesced: bool,
     ) -> Ps {
         let now = sim.now();
-        let key = (me.ep, src, msg_seq);
-        // First fragment: match in the driver.
-        if !self.node(node).driver.kmatch.contains_key(&key) {
-            let matched = self.ep_mut(me).matcher.match_incoming(match_info);
-            let pending = self.node_mut(node).driver.scratch.take_pending();
-            let (req, buf) = match matched {
-                Some(PostedRecv { req, .. }) => {
-                    if let Some(rs) = self.ep_mut(me).recvs.get_mut(&req) {
-                        rs.total = msg_len as u64;
-                        rs.matched_info = Some(match_info);
-                    }
-                    (Some(req), None)
-                }
-                // omx-lint: allow(hot-path-alloc) unexpected-message buffer: only taken when no receive was posted, never in a pre-posted steady loop [test: tests/end_to_end.rs::extension_paths_stay_correct]
-                None => (None, Some(vec![0u8; msg_len as usize])),
-            };
-            self.node_mut(node).driver.kmatch.insert(
-                key,
-                KernelAssembly {
-                    req,
-                    match_info,
-                    total: msg_len,
-                    data: buf,
-                    pending,
-                },
-            );
-        }
-        let (req, matched) = {
-            let a = self.node(node).driver.kmatch.get(&key).expect("ensured");
-            (a.req, a.req.is_some())
-        };
+        let (total, at, frag) = (msg_len as u64, offset as u64, Frag::Inline(&data));
+        let ep = self.ep_mut(me);
+        let landed = ep.land_eager(src, match_info, msg_seq, total, at, frag);
         // Copy path: matched fragments may be offloaded asynchronously
         // — the whole point of this extension.
         let ctx = CopyCtx::bh(me, core, self.p.hw.page_size);
         let site = CopySite::KernelMatch {
-            offset: offset as u64,
+            offset: at,
             len: data.len() as u64,
-            matched,
+            matched: landed.req.is_some(),
         };
         let pick = |c: &mut Cluster| c.pick_healthy_channel(node, now);
         let (fin, submitted) = self.copy_fragment(&ctx, site, now, coalesced, pick);
+        let key = (me.ep, src, msg_seq);
         if let Some(pc) = submitted {
-            let a = self.node_mut(node).driver.kmatch.get_mut(&key);
-            a.expect("present").pending.push(pc);
+            let d = &mut self.node_mut(node).driver;
+            let pending = d.kmatch.entry(key);
+            pending.or_insert_with(|| d.scratch.take_pending()).push(pc);
         }
         self.ep_mut(me).counters.rx_medium_frags += 1;
-        // Apply the bytes.
-        if !matched {
-            let a = self.node_mut(node).driver.kmatch.get_mut(&key);
-            let buf = a.expect("present").data.as_mut();
-            land(buf.expect("unmatched buffers data"), offset as usize, &data);
-        } else if let Some(rs) = self.ep_mut(me).recvs.get_mut(&req.expect("matched")) {
-            rs.received += land(&mut rs.buf, offset as usize, &data) as u64;
-        }
-        // Complete?
-        let all_seen = self
-            .ep(me)
-            .drv_medium
-            .get(&(src, msg_seq))
-            .is_some_and(|v| v.iter().all(|&b| b));
-        if !all_seen {
+        if !landed.complete {
             return fin;
         }
         // Drain pending copies (only the last fragment waits, as in the
         // large path).
-        let asm = self
-            .node_mut(node)
-            .driver
-            .kmatch
-            .remove(&key)
-            .expect("present");
-        let (mut fin, _) = self.wait_copies(&ctx, &asm.pending, fin);
-        self.node_mut(node).driver.scratch.put_pending(asm.pending);
+        let pending = self.node_mut(node).driver.kmatch.remove(&key);
+        let (mut fin, _) = self.wait_copies(&ctx, pending.as_deref().unwrap_or_default(), fin);
+        if let Some(p) = pending {
+            self.node_mut(node).driver.scratch.put_pending(p);
+        }
         if let Some(b) = self.ep_mut(me).drv_medium.remove(&(src, msg_seq)) {
             self.node_mut(node).driver.scratch.put_bitmap(b);
         }
@@ -143,36 +84,11 @@ impl Cluster {
         fin = f;
         self.stats.acks_sent += 1;
         self.send_packet(sim, node, src.node, &pkt, fin);
-        match asm.req {
-            Some(req) => {
-                // One event per message — the extension's payoff.
-                self.push_event_at(
-                    sim,
-                    me,
-                    Event::RecvMediumDone {
-                        req,
-                        len: asm.total,
-                    },
-                    fin,
-                );
-            }
-            None => {
-                // Hand the buffered unexpected message to the library
-                // as a complete assembly; adoption copies it out.
-                let buf = asm.data.expect("unmatched buffers data");
-                self.ep_mut(me).assemblies.insert(
-                    (src, msg_seq),
-                    crate::endpoint::MediumAssembly {
-                        req: None,
-                        match_info: asm.match_info,
-                        // omx-lint: allow(hot-path-alloc) Vec::new is capacity-zero; the driver already deduplicated, the library never consults frag_seen for a complete assembly [test: tests/end_to_end.rs::extension_paths_stay_correct]
-                        frag_seen: Vec::new(),
-                        arrived: asm.total as u64,
-                        total: asm.total as u64,
-                        data: buf,
-                    },
-                );
-            }
+        // One event per matched message — the extension's payoff. An
+        // unexpected one is complete in the matcher's queue; adoption
+        // copies it out.
+        if let Some(req) = landed.req {
+            self.push_event_at(sim, me, Event::RecvMediumDone { req, len: msg_len }, fin);
         }
         fin
     }

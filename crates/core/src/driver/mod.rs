@@ -316,9 +316,11 @@ pub struct Driver {
     pub skbuffs_held: u64,
     /// High-water mark of `skbuffs_held`.
     pub skbuffs_held_max: u64,
-    /// Kernel-matching medium reassemblies (extension), keyed by
-    /// (receiving endpoint, sender, sequence).
-    pub kmatch: BTreeMap<(EpIdx, EpAddr, u32), kmatch::KernelAssembly>,
+    /// Outstanding asynchronous fragment copies of kernel-matched
+    /// medium messages (extension; a pooled [`DriverScratch`] list
+    /// each), keyed by (receiving endpoint, sender, sequence). The
+    /// message itself reassembles in the endpoint.
+    pub kmatch: BTreeMap<(EpIdx, EpAddr, u32), Vec<PendingCopy>>,
     /// Receiver-driven credit pool (inert unless
     /// `OmxConfig::pull_credits`).
     pub credits: CreditState,

@@ -310,7 +310,7 @@ impl Cluster {
         self.ep_mut(me).counters.rx_large_frags += 1;
         // --- apply the data and progress accounting ----------------------
         if let Some(rs) = self.ep_mut(me).recvs.get_mut(&req) {
-            rs.received += land(&mut rs.buf, offset as usize, &data) as u64;
+            land(&mut rs.buf, offset as usize, &data);
         }
         let bf = self.p.cfg.pull_block_frags;
         let (progress, next_block, blocks_total) = {

@@ -761,8 +761,6 @@ impl Cluster {
                 match_info,
                 msg_seq,
                 msg_len,
-                frag_idx,
-                frag_count,
                 offset,
                 slot,
                 len: len as u32,

@@ -213,8 +213,6 @@ impl Cluster {
                             match_info,
                             msg_seq,
                             msg_len: total as u32,
-                            frag_idx: i as u16,
-                            frag_count: count as u16,
                             offset: lo as u32,
                             slot,
                             len: (hi - lo) as u32,
@@ -303,7 +301,7 @@ impl Cluster {
             .unwrap_or_else(|| self.memcpy_copy(&ctx, fin, Ps::ZERO, msg_len));
         // Apply the bytes (the sender's data is `msg_len` long).
         if let Some(rs) = self.ep_mut(me).recvs.get_mut(&req) {
-            rs.received = land(&mut rs.buf, 0, &data) as u64;
+            land(&mut rs.buf, 0, &data);
         }
         // Complete both sides.
         self.node_mut(node).driver.tx_large.remove(&sender_handle);

@@ -10,7 +10,7 @@
 use crate::config::MsgClass;
 use crate::counters::Counters;
 use crate::events::{EventRing, SlotPool};
-use crate::matching::Matcher;
+use crate::matching::{Matcher, Unexpected};
 use crate::region::{Region, RegionTable};
 use crate::{EpAddr, ReqId};
 use omx_hw::CoreId;
@@ -56,14 +56,13 @@ pub struct SendState {
 }
 
 /// Land `data` at `offset` of a receive buffer, clipped to the buffer:
-/// the byte move of every receive copy. Returns the bytes written.
-pub(crate) fn land(buf: &mut [u8], offset: usize, data: &[u8]) -> usize {
+/// the byte move of every receive copy.
+pub(crate) fn land(buf: &mut [u8], offset: usize, data: &[u8]) {
     let start = offset.min(buf.len());
     let n = data.len().min(buf.len() - start);
     if let (Some(dst), Some(src)) = (buf.get_mut(start..start + n), data.get(..n)) {
         dst.copy_from_slice(src);
     }
-    n
 }
 
 /// An outstanding receive request.
@@ -77,8 +76,6 @@ pub struct RecvState {
     pub mask: u64,
     /// Destination buffer (filled in place).
     pub buf: Vec<u8>,
-    /// Bytes delivered so far.
-    pub received: u64,
     /// Total expected once matched (0 until known).
     pub total: u64,
     /// Match information of the message that matched (for the
@@ -88,9 +85,6 @@ pub struct RecvState {
     pub tag: Option<u64>,
     /// Pinned region backing a large receive.
     pub region: Option<Region>,
-    /// Per-fragment arrival bitmap for medium reassembly (duplicate
-    /// suppression under retransmission).
-    pub frag_seen: Vec<bool>,
     /// Segment size of a vectorial destination buffer (`None` =
     /// contiguous). Scattered buffers split every receive copy into
     /// per-segment chunks — the "highly-vectorial buffers" case of
@@ -98,28 +92,101 @@ pub struct RecvState {
     pub seg_size: Option<u64>,
 }
 
-/// Reassembly of a multi-fragment eager message, matched or not.
+/// Where an eager message's bytes land: straight in the matched
+/// receive's buffer, or in a buffer of its own while it waits in the
+/// matcher's unexpected queue.
 #[derive(Debug)]
-pub struct MediumAssembly {
-    /// The receive it was matched to, if any. Unmatched assemblies
-    /// buffer their data in `data` until a receive adopts them.
-    pub req: Option<ReqId>,
-    /// Match information (for adoption by later receives).
-    pub match_info: u64,
-    /// Fragments already applied (duplicate suppression).
-    pub frag_seen: Vec<bool>,
-    /// Bytes applied.
-    pub arrived: u64,
-    /// Total length.
-    pub total: u64,
-    /// Buffered payload while unmatched (empty once matched).
-    pub data: Vec<u8>,
+pub enum Sink {
+    /// The receive it was matched to.
+    Recv(ReqId),
+    /// The unexpected-message buffer (the full message image).
+    Buffer(Vec<u8>),
 }
 
-impl MediumAssembly {
+/// The reassembly record of one eager message — tiny, small or
+/// medium, under library matching, kernel matching or MXoE — from its
+/// first fragment on. An unmatched message waits in the matcher's
+/// arrival-ordered unexpected queue, complete or not; a matched one
+/// that is still arriving waits in [`Endpoint::assemblies`].
+#[derive(Debug)]
+pub struct Assembly {
+    /// Sender address.
+    pub src: EpAddr,
+    /// Per-partner message sequence (with `src`, the reassembly key).
+    pub msg_seq: u32,
+    /// Match information.
+    pub match_info: u64,
+    /// Where the bytes land.
+    pub sink: Sink,
+    /// Bytes arrived (the driver drops every duplicate fragment before
+    /// it gets here).
+    pub arrived: u64,
+    /// Total message length.
+    pub total: u64,
+}
+
+impl Assembly {
     /// Whether every byte arrived.
     pub fn is_complete(&self) -> bool {
         self.arrived >= self.total
+    }
+
+    /// Land `data` at `offset` of the sink and count it.
+    fn fill(&mut self, recvs: &mut BTreeMap<ReqId, RecvState>, offset: u64, data: &[u8]) -> Landed {
+        let req = match &mut self.sink {
+            Sink::Recv(req) => {
+                if let Some(rs) = recvs.get_mut(req) {
+                    land(&mut rs.buf, offset as usize, data);
+                }
+                Some(*req)
+            }
+            Sink::Buffer(buf) => {
+                land(buf, offset as usize, data);
+                None
+            }
+        };
+        self.arrived += data.len() as u64;
+        Landed {
+            req,
+            complete: self.is_complete(),
+        }
+    }
+}
+
+/// The bytes of one eager fragment: inline (a tiny event, an MXoE or
+/// kernel-matched frame) or in a pinned ring slot, which is released
+/// once landed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Frag<'a> {
+    /// Bytes the caller holds.
+    Inline(&'a [u8]),
+    /// `len` bytes in ring slot `slot`.
+    Slot { slot: usize, len: usize },
+}
+
+impl Frag<'_> {
+    /// Fragment length in bytes.
+    pub(crate) fn len(&self) -> u64 {
+        match *self {
+            Frag::Inline(d) => d.len() as u64,
+            Frag::Slot { len, .. } => len as u64,
+        }
+    }
+}
+
+/// What landing one eager fragment did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Landed {
+    /// The receive the message is matched to (`None`: unexpected).
+    pub req: Option<ReqId>,
+    /// Whether this was the message's last byte.
+    pub complete: bool,
+}
+
+impl Landed {
+    /// The matched receive, once its message is complete.
+    pub(crate) fn completed_recv(&self) -> Option<ReqId> {
+        self.req.filter(|_| self.complete)
     }
 }
 
@@ -142,8 +209,9 @@ pub struct Endpoint {
     pub sends: BTreeMap<ReqId, SendState>,
     /// Outstanding receives.
     pub recvs: BTreeMap<ReqId, RecvState>,
-    /// In-flight medium reassemblies keyed by (source, sequence).
-    pub assemblies: BTreeMap<(EpAddr, u32), MediumAssembly>,
+    /// Matched eager messages still arriving, keyed by (source,
+    /// sequence). Unmatched ones wait in the matcher instead.
+    pub assemblies: BTreeMap<(EpAddr, u32), Assembly>,
     /// Next message sequence per destination partner.
     pub seq_tx: BTreeMap<EpAddr, u32>,
     /// Application driving this endpoint (index into the cluster's app
@@ -222,6 +290,75 @@ impl Endpoint {
         self.completed_seqs
             .get(&src)
             .is_some_and(|s| s.contains(seq))
+    }
+
+    /// Land one fragment of an eager message: the one eager receive
+    /// path of library matching, kernel matching and MXoE. The first
+    /// fragment to arrive matches the message against the posted
+    /// receives; an unmatched message joins the matcher's
+    /// arrival-ordered unexpected queue with a buffer of its own, where
+    /// a later receive adopts it at any point of its arrival. The
+    /// caller charges its path's costs and completes a matched message
+    /// once it is `complete`.
+    pub(crate) fn land_eager(
+        &mut self,
+        src: EpAddr,
+        match_info: u64,
+        msg_seq: u32,
+        total: u64,
+        offset: u64,
+        frag: Frag<'_>,
+    ) -> Landed {
+        let data = match frag {
+            Frag::Inline(d) => d,
+            Frag::Slot { slot, len } => self.slots.read(slot, len),
+        };
+        let key = (src, msg_seq);
+        let landed = if let Some(asm) = self.assemblies.get_mut(&key) {
+            let landed = asm.fill(&mut self.recvs, offset, data);
+            if landed.complete {
+                self.assemblies.remove(&key);
+            }
+            landed
+        } else if let Some(asm) = self.matcher.unexpected_eager_mut(src, msg_seq) {
+            asm.fill(&mut self.recvs, offset, data)
+        } else {
+            let sink = match self.matcher.match_incoming(match_info) {
+                Some(posted) => {
+                    if let Some(rs) = self.recvs.get_mut(&posted.req) {
+                        rs.total = total;
+                        rs.matched_info = Some(match_info);
+                    }
+                    Sink::Recv(posted.req)
+                }
+                None => {
+                    self.counters.unexpected += 1;
+                    // omx-lint: allow(hot-path-alloc) unexpected-message buffer: only taken when no receive was posted, never in a pre-posted steady loop [test: crates/sim/tests/alloc_count.rs::warmed_medium_pingpong_allocates_nothing]
+                    Sink::Buffer(vec![0u8; total as usize])
+                }
+            };
+            let mut asm = Assembly {
+                src,
+                msg_seq,
+                match_info,
+                sink,
+                arrived: 0,
+                total,
+            };
+            let landed = asm.fill(&mut self.recvs, offset, data);
+            match asm.sink {
+                Sink::Buffer(_) => self.matcher.push_unexpected(Unexpected::Eager(asm)),
+                Sink::Recv(_) if !landed.complete => {
+                    self.assemblies.insert(key, asm);
+                }
+                Sink::Recv(_) => {}
+            }
+            landed
+        };
+        if let Frag::Slot { slot, .. } = frag {
+            self.slots.release(slot);
+        }
+        landed
     }
 }
 

@@ -10,11 +10,10 @@
 
 use crate::cluster::Cluster;
 use crate::config::StackKind;
-use crate::endpoint::MediumAssembly;
+use crate::endpoint::{land, Frag, Sink};
 use crate::events::Event;
 use crate::matching::{PostedRecv, Unexpected};
 use crate::{EpAddr, ReqId};
-use bytes::Bytes;
 use omx_hw::cpu::category;
 use omx_hw::mem::{CopyContext, MemModel};
 use omx_hw::Distance;
@@ -48,11 +47,8 @@ impl Cluster {
                 msg_seq,
                 data,
             } => {
-                let cost = ev_cost + self.lib_copy_cost(data.len() as u64);
-                let (_, fin) = self.run_core(node, core, now, cost, category::USER_LIB);
-                // The inline payload is already shared `Bytes`: hand it
-                // over without materializing a copy.
-                self.lib_deliver_eager(sim, me, src, match_info, msg_seq, data, fin);
+                let (total, frag) = (data.len() as u64, Frag::Inline(&data));
+                self.lib_eager(sim, me, src, match_info, msg_seq, total, 0, frag);
             }
             Event::RecvSmall {
                 src,
@@ -61,46 +57,27 @@ impl Cluster {
                 slot,
                 len,
             } => {
-                let cost = ev_cost + self.lib_copy_cost(len as u64);
-                let (_, fin) = self.run_core(node, core, now, cost, category::USER_LIB);
-                self.lib_deliver_eager_from_slot(
-                    sim,
-                    me,
-                    src,
-                    match_info,
-                    msg_seq,
+                let frag = Frag::Slot {
                     slot,
-                    len as usize,
-                    fin,
-                );
+                    len: len as usize,
+                };
+                self.lib_eager(sim, me, src, match_info, msg_seq, len as u64, 0, frag);
             }
             Event::RecvMediumFrag {
                 src,
                 match_info,
                 msg_seq,
                 msg_len,
-                frag_idx,
-                frag_count,
                 offset,
                 slot,
                 len,
             } => {
-                let cost = ev_cost + self.lib_copy_cost(len as u64);
-                let (_, fin) = self.run_core(node, core, now, cost, category::USER_LIB);
-                self.lib_apply_medium_frag(
-                    sim,
-                    me,
-                    src,
-                    match_info,
-                    msg_seq,
-                    msg_len as u64,
-                    frag_idx as u32,
-                    frag_count as u32,
-                    offset as u64,
+                let (total, offset) = (msg_len as u64, offset as u64);
+                let frag = Frag::Slot {
                     slot,
-                    len as usize,
-                    fin,
-                );
+                    len: len as usize,
+                };
+                self.lib_eager(sim, me, src, match_info, msg_seq, total, offset, frag);
             }
             Event::RecvRndv {
                 src,
@@ -157,199 +134,30 @@ impl Cluster {
         }
     }
 
-    /// Deliver a complete single-fragment eager message whose payload
-    /// is already in shared `Bytes` (tiny messages ride inline in the
-    /// event): match or buffer as unexpected — either way without
-    /// copying the payload an extra time.
+    /// The library's side of one eager event (a tiny or small message,
+    /// or one medium fragment): reap the event, copy the payload out of
+    /// the event or ring slot, and complete the receive once the
+    /// message's last byte landed in it.
     #[allow(clippy::too_many_arguments)]
-    fn lib_deliver_eager(
+    fn lib_eager(
         &mut self,
         sim: &mut Sim<Cluster>,
         me: EpAddr,
         src: EpAddr,
         match_info: u64,
         msg_seq: u32,
-        data: Bytes,
-        fin: Ps,
-    ) {
-        match self.ep_mut(me).matcher.match_incoming(match_info) {
-            Some(posted) => {
-                let ep = self.ep_mut(me);
-                if let Some(rs) = ep.recvs.get_mut(&posted.req) {
-                    let n = data.len().min(rs.buf.len());
-                    rs.buf[..n].copy_from_slice(&data[..n]);
-                    rs.received = n as u64;
-                    rs.total = n as u64;
-                    rs.matched_info = Some(match_info);
-                }
-                self.finish_recv(sim, me, posted.req, fin);
-            }
-            None => {
-                let total = data.len() as u64;
-                self.ep_mut(me).counters.unexpected += 1;
-                self.ep_mut(me).matcher.push_unexpected(Unexpected::Eager {
-                    src,
-                    match_info,
-                    msg_seq,
-                    data,
-                    arrived: total,
-                    total,
-                });
-            }
-        }
-    }
-
-    /// Deliver a single-fragment eager message whose payload sits in a
-    /// pinned ring slot. A matched receive copies slot → application
-    /// buffer directly (the slot pool and the receive table are
-    /// disjoint endpoint fields, so no intermediate buffer is needed);
-    /// an unmatched one buffers the slot contents exactly once.
-    #[allow(clippy::too_many_arguments)]
-    fn lib_deliver_eager_from_slot(
-        &mut self,
-        sim: &mut Sim<Cluster>,
-        me: EpAddr,
-        src: EpAddr,
-        match_info: u64,
-        msg_seq: u32,
-        slot: usize,
-        len: usize,
-        fin: Ps,
-    ) {
-        match self.ep_mut(me).matcher.match_incoming(match_info) {
-            Some(posted) => {
-                let ep = self.ep_mut(me);
-                if let Some(rs) = ep.recvs.get_mut(&posted.req) {
-                    let data = ep.slots.read(slot, len);
-                    let n = data.len().min(rs.buf.len());
-                    rs.buf[..n].copy_from_slice(&data[..n]);
-                    rs.received = n as u64;
-                    rs.total = n as u64;
-                    rs.matched_info = Some(match_info);
-                }
-                ep.slots.release(slot);
-                self.finish_recv(sim, me, posted.req, fin);
-            }
-            None => {
-                let ep = self.ep_mut(me);
-                let data = Bytes::from(ep.slots.read(slot, len));
-                ep.slots.release(slot);
-                ep.counters.unexpected += 1;
-                let total = len as u64;
-                ep.matcher.push_unexpected(Unexpected::Eager {
-                    src,
-                    match_info,
-                    msg_seq,
-                    data,
-                    arrived: total,
-                    total,
-                });
-            }
-        }
-    }
-
-    /// Apply one medium fragment to its (matched or unexpected)
-    /// assembly, copying straight out of the pinned ring slot; the
-    /// slot is released once the fragment has been applied (or
-    /// recognized as a duplicate).
-    #[allow(clippy::too_many_arguments)]
-    fn lib_apply_medium_frag(
-        &mut self,
-        sim: &mut Sim<Cluster>,
-        me: EpAddr,
-        src: EpAddr,
-        match_info: u64,
-        msg_seq: u32,
-        msg_len: u64,
-        frag_idx: u32,
-        frag_count: u32,
+        total: u64,
         offset: u64,
-        slot: usize,
-        len: usize,
-        fin: Ps,
+        frag: Frag<'_>,
     ) {
-        let key = (src, msg_seq);
-        // First fragment of a new message: match it.
-        if !self.ep(me).assemblies.contains_key(&key) {
-            let matched = self.ep_mut(me).matcher.match_incoming(match_info);
-            let (req, buf) = match matched {
-                Some(posted) => {
-                    if let Some(rs) = self.ep_mut(me).recvs.get_mut(&posted.req) {
-                        rs.total = msg_len;
-                        rs.matched_info = Some(match_info);
-                    }
-                    // omx-lint: allow(hot-path-alloc) Vec::new is capacity-zero and touches no allocator; matched data lands in the posted buffer [test: crates/sim/tests/alloc_count.rs::warmed_medium_pingpong_allocates_nothing]
-                    (Some(posted.req), Vec::new())
-                }
-                // omx-lint: allow(hot-path-alloc) unexpected-message buffer: only taken when no receive was posted, never in a pre-posted steady loop [test: crates/sim/tests/alloc_count.rs::warmed_medium_pingpong_allocates_nothing]
-                None => (None, vec![0u8; msg_len as usize]),
-            };
-            let frag_seen = self
-                .node_mut(me.node)
-                .driver
-                .scratch
-                .take_bitmap(frag_count as usize);
-            self.ep_mut(me).assemblies.insert(
-                key,
-                MediumAssembly {
-                    req,
-                    match_info,
-                    frag_seen,
-                    arrived: 0,
-                    total: msg_len,
-                    data: buf,
-                },
-            );
-        }
-        // Apply the fragment straight from the ring slot.
-        let (completed_req, done_unmatched) = {
-            let ep = self.ep_mut(me);
-            let asm = ep.assemblies.get_mut(&key).expect("just ensured");
-            let result = if asm.frag_seen[frag_idx as usize] {
-                (None, false)
-            } else {
-                asm.frag_seen[frag_idx as usize] = true;
-                asm.arrived += len as u64;
-                match asm.req {
-                    Some(req) => {
-                        if let Some(rs) = ep.recvs.get_mut(&req) {
-                            let data = ep.slots.read(slot, len);
-                            let end = ((offset as usize) + len).min(rs.buf.len());
-                            let start = (offset as usize).min(end);
-                            rs.buf[start..end].copy_from_slice(&data[..end - start]);
-                            rs.received += (end - start) as u64;
-                        }
-                        let asm = ep.assemblies.get_mut(&key).expect("present");
-                        if asm.is_complete() {
-                            (Some(req), false)
-                        } else {
-                            (None, false)
-                        }
-                    }
-                    None => {
-                        let data = ep.slots.read(slot, len);
-                        let end = ((offset as usize) + len).min(asm.data.len());
-                        let start = (offset as usize).min(end);
-                        asm.data[start..end].copy_from_slice(&data[..end - start]);
-                        (None, asm.is_complete())
-                    }
-                }
-            };
-            ep.slots.release(slot);
-            result
-        };
-        if let Some(req) = completed_req {
-            if let Some(asm) = self.ep_mut(me).assemblies.remove(&key) {
-                self.node_mut(me.node)
-                    .driver
-                    .scratch
-                    .put_bitmap(asm.frag_seen);
-            }
+        let cost = self.p.cfg.lib_event_cost + self.lib_copy_cost(frag.len());
+        let core = self.ep(me).core;
+        let (_, fin) = self.run_core(me.node, core, sim.now(), cost, category::USER_LIB);
+        let ep = self.ep_mut(me);
+        let landed = ep.land_eager(src, match_info, msg_seq, total, offset, frag);
+        if let Some(req) = landed.completed_recv() {
             self.finish_recv(sim, me, req, fin);
         }
-        // Complete-but-unmatched assemblies stay buffered until a
-        // receive adopts them.
-        let _ = done_unmatched;
     }
 
     /// A receive matched a rendezvous: record it and start the pull.
@@ -387,8 +195,9 @@ impl Cluster {
         }
     }
 
-    /// A new receive was posted: try the matcher's unexpected queue,
-    /// then buffered assemblies.
+    /// A new receive was posted: adopt the oldest matching unexpected
+    /// message, if any. An eager one may still be arriving: what
+    /// arrived is copied out now, the rest lands in the receive.
     pub(crate) fn lib_match_new_recv(&mut self, sim: &mut Sim<Cluster>, me: EpAddr, req: ReqId) {
         let now = sim.now();
         let core = self.ep(me).core;
@@ -403,27 +212,23 @@ impl Cluster {
             len: cap,
         });
         match hit {
-            Some(Unexpected::Eager {
-                match_info: mi,
-                data,
-                arrived,
-                total,
-                ..
-            }) => {
-                // Matcher-held eager unexpecteds are always complete
-                // (partial mediums live in `assemblies` instead).
-                debug_assert!(arrived >= total, "partial eager in matcher");
-                let cost = self.lib_copy_cost(total);
+            Some(Unexpected::Eager(mut asm)) => {
+                let cost = self.lib_copy_cost(asm.arrived);
                 let (_, fin) = self.run_core(me.node, core, now, cost, category::USER_LIB);
                 let ep = self.ep_mut(me);
                 if let Some(rs) = ep.recvs.get_mut(&req) {
-                    let n = (total as usize).min(rs.buf.len()).min(data.len());
-                    rs.buf[..n].copy_from_slice(&data[..n]);
-                    rs.received = n as u64;
-                    rs.total = n as u64;
-                    rs.matched_info = Some(mi);
+                    if let Sink::Buffer(buf) = &asm.sink {
+                        land(&mut rs.buf, 0, buf);
+                    }
+                    rs.total = asm.total;
+                    rs.matched_info = Some(asm.match_info);
                 }
-                self.finish_recv(sim, me, req, fin);
+                if asm.is_complete() {
+                    self.finish_recv(sim, me, req, fin);
+                } else {
+                    asm.sink = Sink::Recv(req);
+                    ep.assemblies.insert((asm.src, asm.msg_seq), asm);
+                }
             }
             Some(Unexpected::Rndv {
                 src,
@@ -434,52 +239,7 @@ impl Cluster {
             }) => {
                 self.lib_adopt_rndv(sim, me, req, src, mi, msg_seq, msg_len, sender_handle, now);
             }
-            None => {
-                // Any buffered unmatched assembly that fits?
-                let found = {
-                    let ep = self.ep(me);
-                    ep.assemblies
-                        .iter()
-                        .filter(|(_, a)| a.req.is_none())
-                        .find(|(_, a)| crate::matching::matches(match_info, mask, a.match_info))
-                        .map(|(k, _)| *k)
-                };
-                if let Some(key) = found {
-                    // Adopt: the receive leaves the matcher's queue.
-                    self.ep_mut(me).matcher.remove_posted(req);
-                    let (arrived, total, mi, complete) = {
-                        let ep = self.ep_mut(me);
-                        let asm = ep.assemblies.get_mut(&key).expect("found");
-                        asm.req = Some(req);
-                        (asm.arrived, asm.total, asm.match_info, asm.is_complete())
-                    };
-                    let cost = self.lib_copy_cost(arrived);
-                    let (_, fin) = self.run_core(me.node, core, now, cost, category::USER_LIB);
-                    {
-                        let ep = self.ep_mut(me);
-                        let asm = ep.assemblies.get_mut(&key).expect("found");
-                        let data = std::mem::take(&mut asm.data);
-                        if let Some(rs) = ep.recvs.get_mut(&req) {
-                            let n = (arrived as usize).min(rs.buf.len()).min(data.len());
-                            // Unmatched assemblies buffer the full
-                            // image; copy what arrived so far.
-                            rs.buf[..n].copy_from_slice(&data[..n]);
-                            rs.received = arrived;
-                            rs.total = total;
-                            rs.matched_info = Some(mi);
-                        }
-                    }
-                    if complete {
-                        if let Some(asm) = self.ep_mut(me).assemblies.remove(&key) {
-                            self.node_mut(me.node)
-                                .driver
-                                .scratch
-                                .put_bitmap(asm.frag_seen);
-                        }
-                        self.finish_recv(sim, me, req, fin);
-                    }
-                }
-            }
+            None => {}
         }
     }
 }

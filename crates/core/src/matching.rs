@@ -3,13 +3,15 @@
 //! MX semantics: a receive posts a 64-bit `match_info` plus a 64-bit
 //! `mask`; an incoming message with match information `m` matches the
 //! receive iff `(m & mask) == (match_info & mask)`. Receives match in
-//! post order; unexpected messages queue in arrival order and are
-//! re-examined by every new receive ("matching" box of Fig 2, done by
-//! the user-space library in the paper's stack, or by the driver when
-//! the `kernel_matching` extension is on).
+//! post order; unexpected messages queue in arrival order — an eager
+//! one from its first fragment on, so a receive can adopt it while it
+//! is still arriving — and are re-examined by every new receive
+//! ("matching" box of Fig 2, done by the user-space library in the
+//! paper's stack, or by the driver when the `kernel_matching`
+//! extension is on).
 
+use crate::endpoint::Assembly;
 use crate::{EpAddr, ReqId};
-use bytes::Bytes;
 use std::collections::VecDeque;
 
 /// A posted receive waiting for a message.
@@ -28,24 +30,9 @@ pub struct PostedRecv {
 /// An arrived message no receive was posted for.
 #[derive(Debug)]
 pub enum Unexpected {
-    /// Eager data buffered by the library (possibly still arriving:
-    /// `arrived < total` while fragments trickle in).
-    Eager {
-        /// Sender address.
-        src: EpAddr,
-        /// Message match information.
-        match_info: u64,
-        /// Per-partner message sequence (reassembly key).
-        msg_seq: u32,
-        /// Buffered payload. Shared `Bytes`: tiny messages hand the
-        /// event's inline payload over without copying, small ones
-        /// buffer their ring slot exactly once.
-        data: Bytes,
-        /// Bytes arrived so far.
-        arrived: u64,
-        /// Total message length.
-        total: u64,
-    },
+    /// An eager message, complete or still arriving, with its
+    /// buffer.
+    Eager(Assembly),
     /// A rendezvous announcement for a large message (no data yet; the
     /// pull starts once a receive matches).
     Rndv {
@@ -66,9 +53,8 @@ impl Unexpected {
     /// The message's match information.
     pub fn match_info(&self) -> u64 {
         match self {
-            Unexpected::Eager { match_info, .. } | Unexpected::Rndv { match_info, .. } => {
-                *match_info
-            }
+            Unexpected::Eager(asm) => asm.match_info,
+            Unexpected::Rndv { match_info, .. } => *match_info,
         }
     }
 
@@ -76,7 +62,7 @@ impl Unexpected {
     /// matching receive can complete/start immediately.
     pub fn is_ready(&self) -> bool {
         match self {
-            Unexpected::Eager { arrived, total, .. } => arrived >= total,
+            Unexpected::Eager(asm) => asm.is_complete(),
             Unexpected::Rndv { .. } => true,
         }
     }
@@ -133,22 +119,11 @@ impl Matcher {
 
     /// Find a buffered unexpected *eager* message by its reassembly key
     /// (later fragments of a message that arrived unexpected).
-    pub fn unexpected_eager_mut(&mut self, src: EpAddr, msg_seq: u32) -> Option<&mut Unexpected> {
-        self.unexpected.iter_mut().find(|u| match u {
-            Unexpected::Eager {
-                src: s, msg_seq: q, ..
-            } => *s == src && *q == msg_seq,
-            _ => false,
+    pub fn unexpected_eager_mut(&mut self, src: EpAddr, msg_seq: u32) -> Option<&mut Assembly> {
+        self.unexpected.iter_mut().find_map(|u| match u {
+            Unexpected::Eager(asm) if asm.src == src && asm.msg_seq == msg_seq => Some(asm),
+            _ => None,
         })
-    }
-
-    /// Remove a posted receive by request id (used when a receive is
-    /// satisfied by a buffered assembly instead of the matcher's own
-    /// queues). Returns whether it was present.
-    pub fn remove_posted(&mut self, req: ReqId) -> bool {
-        let before = self.posted.len();
-        self.posted.retain(|r| r.req != req);
-        self.posted.len() != before
     }
 
     /// Number of posted receives waiting.
@@ -165,6 +140,7 @@ impl Matcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::Sink;
     use crate::{EpIdx, NodeId};
 
     fn addr() -> EpAddr {
@@ -183,15 +159,19 @@ mod tests {
         }
     }
 
-    fn eager(info: u64, seq: u32) -> Unexpected {
-        Unexpected::Eager {
+    fn partial(info: u64, seq: u32, arrived: u64, total: u64) -> Unexpected {
+        Unexpected::Eager(Assembly {
             src: addr(),
-            match_info: info,
             msg_seq: seq,
-            data: Bytes::from(vec![0u8; 8]),
-            arrived: 8,
-            total: 8,
-        }
+            match_info: info,
+            sink: Sink::Buffer(vec![0u8; total as usize]),
+            arrived,
+            total,
+        })
+    }
+
+    fn eager(info: u64, seq: u32) -> Unexpected {
+        partial(info, seq, 8, 8)
     }
 
     #[test]
@@ -240,8 +220,8 @@ mod tests {
         let mut m = Matcher::new();
         m.push_unexpected(eager(7, 0));
         m.push_unexpected(eager(7, 1));
-        if let Some(Unexpected::Eager { msg_seq, .. }) = m.post_recv(recv(1, 7, u64::MAX)) {
-            assert_eq!(msg_seq, 0, "oldest unexpected first");
+        if let Some(Unexpected::Eager(asm)) = m.post_recv(recv(1, 7, u64::MAX)) {
+            assert_eq!(asm.msg_seq, 0, "oldest unexpected first");
         } else {
             panic!("expected eager match");
         }
@@ -250,20 +230,11 @@ mod tests {
     #[test]
     fn partial_unexpected_lookup_by_key() {
         let mut m = Matcher::new();
-        m.push_unexpected(Unexpected::Eager {
-            src: addr(),
-            match_info: 5,
-            msg_seq: 3,
-            data: Bytes::from(vec![0; 16]),
-            arrived: 8,
-            total: 16,
-        });
-        let u = m.unexpected_eager_mut(addr(), 3).expect("found");
-        assert!(!u.is_ready());
-        if let Unexpected::Eager { arrived, .. } = u {
-            *arrived = 16;
-        }
-        assert!(m.unexpected_eager_mut(addr(), 3).unwrap().is_ready());
+        m.push_unexpected(partial(5, 3, 8, 16));
+        let asm = m.unexpected_eager_mut(addr(), 3).expect("found");
+        assert!(!asm.is_complete());
+        asm.arrived = 16;
+        assert!(m.unexpected_eager_mut(addr(), 3).unwrap().is_complete());
         assert!(m.unexpected_eager_mut(addr(), 9).is_none());
     }
 

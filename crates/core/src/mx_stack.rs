@@ -9,7 +9,7 @@
 //! the 1140 MiB/s the paper measures for MX.
 
 use crate::cluster::Cluster;
-use crate::endpoint::MediumAssembly;
+use crate::endpoint::{land, Frag};
 use crate::matching::Unexpected;
 use crate::proto::Packet;
 use crate::{EpAddr, EpIdx, NodeId, ReqId};
@@ -79,19 +79,8 @@ impl Cluster {
             let fin_out = fin_out.max(fin_in + mx.shm_copy_out_rate.time_for(seg));
             sim.schedule_at(fin_out, move |c: &mut Cluster, s| {
                 let now = s.now();
-                c.mx_deposit_eager(
-                    s,
-                    dest,
-                    me,
-                    match_info,
-                    msg_seq,
-                    data.len() as u64,
-                    0,
-                    1,
-                    0,
-                    &data,
-                    now,
-                );
+                let len = data.len() as u64;
+                c.mx_deposit_eager(s, dest, me, match_info, msg_seq, len, 0, &data, now);
             });
             return;
         }
@@ -169,10 +158,9 @@ impl Cluster {
                 match_info,
                 msg_seq,
                 msg_len,
-                frag_idx,
-                frag_count,
                 offset,
                 data,
+                ..
             } => {
                 let src = EpAddr {
                     node: src_node,
@@ -189,8 +177,6 @@ impl Cluster {
                     match_info,
                     msg_seq,
                     msg_len as u64,
-                    frag_idx as u32,
-                    frag_count as u32,
                     offset as u64,
                     &data,
                     now,
@@ -311,9 +297,10 @@ impl Cluster {
         }
     }
 
-    /// Zero-copy eager deposit: matched fragments land straight in the
-    /// application buffer; unmatched ones are buffered by the firmware
-    /// and copied out at match time.
+    /// Zero-copy eager deposit: the firmware matches the message and
+    /// lands its fragments straight in the application buffer, or
+    /// buffers an unmatched one until a receive adopts it; one event
+    /// completes a matched message.
     #[allow(clippy::too_many_arguments)]
     fn mx_deposit_eager(
         &mut self,
@@ -323,90 +310,16 @@ impl Cluster {
         match_info: u64,
         msg_seq: u32,
         msg_len: u64,
-        frag_idx: u32,
-        frag_count: u32,
         offset: u64,
         data: &[u8],
         now: Ps,
     ) {
-        let key = (src, msg_seq);
-        if !self.ep(me).assemblies.contains_key(&key) {
-            let matched = self.ep_mut(me).matcher.match_incoming(match_info);
-            let (req, buf) = match matched {
-                Some(posted) => {
-                    if let Some(rs) = self.ep_mut(me).recvs.get_mut(&posted.req) {
-                        rs.total = msg_len;
-                        rs.matched_info = Some(match_info);
-                    }
-                    (Some(posted.req), Vec::new())
-                }
-                None => (None, vec![0u8; msg_len as usize]),
-            };
-            let frag_seen = self
-                .node_mut(me.node)
-                .driver
-                .scratch
-                .take_bitmap(frag_count as usize);
-            self.ep_mut(me).assemblies.insert(
-                key,
-                MediumAssembly {
-                    req,
-                    match_info,
-                    frag_seen,
-                    arrived: 0,
-                    total: msg_len,
-                    data: buf,
-                },
-            );
-        }
-        let completed_req = {
-            let ep = self.ep_mut(me);
-            let asm = ep.assemblies.get_mut(&key).expect("ensured");
-            if asm.frag_seen[frag_idx as usize] {
-                None
-            } else {
-                asm.frag_seen[frag_idx as usize] = true;
-                asm.arrived += data.len() as u64;
-                match asm.req {
-                    Some(req) => {
-                        if let Some(rs) = ep.recvs.get_mut(&req) {
-                            let end = ((offset as usize) + data.len()).min(rs.buf.len());
-                            let start = (offset as usize).min(end);
-                            rs.buf[start..end].copy_from_slice(&data[..end - start]);
-                            rs.received += (end - start) as u64;
-                        }
-                        let asm = ep.assemblies.get_mut(&key).expect("present");
-                        if asm.is_complete() {
-                            Some(req)
-                        } else {
-                            None
-                        }
-                    }
-                    None => {
-                        let end = ((offset as usize) + data.len()).min(asm.data.len());
-                        let start = (offset as usize).min(end);
-                        asm.data[start..end].copy_from_slice(&data[..end - start]);
-                        None
-                    }
-                }
-            }
-        };
-        if let Some(req) = completed_req {
-            if let Some(asm) = self.ep_mut(me).assemblies.remove(&key) {
-                self.node_mut(me.node)
-                    .driver
-                    .scratch
-                    .put_bitmap(asm.frag_seen);
-            }
-            let core = self.ep(me).core;
-            let at = now + self.p.mx.nic_match_latency;
-            let (_, fin) = self.run_core(
-                me.node,
-                core,
-                at,
-                self.p.mx.lib_event_cost,
-                category::USER_LIB,
-            );
+        let (ep, frag) = (self.ep_mut(me), Frag::Inline(data));
+        let landed = ep.land_eager(src, match_info, msg_seq, msg_len, offset, frag);
+        if let Some(req) = landed.completed_recv() {
+            let (core, at) = (self.ep(me).core, now + self.p.mx.nic_match_latency);
+            let cost = self.p.mx.lib_event_cost;
+            let (_, fin) = self.run_core(me.node, core, at, cost, category::USER_LIB);
             self.finish_recv(sim, me, req, fin);
         }
     }
@@ -478,14 +391,8 @@ impl Cluster {
         }) else {
             return;
         };
-        {
-            let ep = self.ep_mut(me);
-            if let Some(rs) = ep.recvs.get_mut(&req) {
-                let end = ((offset as usize) + data.len()).min(rs.buf.len());
-                let start = (offset as usize).min(end);
-                rs.buf[start..end].copy_from_slice(&data[..end - start]);
-                rs.received += (end - start) as u64;
-            }
+        if let Some(rs) = self.ep_mut(me).recvs.get_mut(&req) {
+            land(&mut rs.buf, offset as usize, data);
         }
         if done {
             self.node_mut(node).mx.pulls.remove(&recv_handle);

@@ -83,14 +83,16 @@ impl Default for RulesConfig {
                 own("omx_ethernet::bh::BottomHalfQueue::pop_next"),
                 // Driver/library data paths: the zero-steady-state-alloc
                 // guarantee extends past the engine into fragment
-                // receive, pull, shared-memory offload and library
-                // assembly (dynamic pin: the driver_paths cases in
+                // receive, pull, shared-memory offload and eager
+                // reassembly, plus the library event that completes it
+                // (dynamic pin: the driver_paths cases in
                 // crates/sim/tests/alloc_count.rs).
                 own("open_mx::driver::recv::Cluster::rx_medium_frag"),
                 own("open_mx::driver::pull::Cluster::rx_large_frag"),
                 own("open_mx::driver::pull::Cluster::start_pull"),
                 own("open_mx::driver::shm::Cluster::shm_send"),
-                own("open_mx::libproc::Cluster::lib_apply_medium_frag"),
+                own("open_mx::endpoint::Endpoint::land_eager"),
+                own("open_mx::libproc::Cluster::lib_eager"),
                 // The receive-copy path every data path above shares.
                 own("open_mx::driver::copy::Cluster::copy_gate"),
                 own("open_mx::driver::copy::Cluster::copy_fragment"),

@@ -386,12 +386,10 @@ fn actual_workspace_is_lint_clean() {
             own("fast-path-panic", "crates/core/src/driver/pull.rs", 5),
             own("fast-path-panic", "crates/core/src/driver/recv.rs", 1),
             own("fast-path-panic", "crates/ethernet/src/nic.rs", 2),
-            own("hot-path-alloc", "crates/core/src/driver/kmatch.rs", 2),
             own("hot-path-alloc", "crates/core/src/driver/mod.rs", 1),
             own("hot-path-alloc", "crates/core/src/driver/recv.rs", 2),
-            own("hot-path-alloc", "crates/core/src/endpoint.rs", 1),
+            own("hot-path-alloc", "crates/core/src/endpoint.rs", 2),
             own("hot-path-alloc", "crates/core/src/events.rs", 1),
-            own("hot-path-alloc", "crates/core/src/libproc.rs", 2),
             own("hot-path-alloc", "crates/sim/src/engine.rs", 1),
             own("hot-path-alloc", "crates/sim/src/event.rs", 1),
             own("hot-path-alloc", "crates/sim/src/reference.rs", 1),

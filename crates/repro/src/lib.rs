@@ -239,7 +239,7 @@ pub struct Plan {
 }
 
 /// A rendered experiment: the results-file text plus the figure series
-/// (for the `--json` flag of the `fig*` shim binaries).
+/// (the curves as data, for programmatic consumers).
 pub struct Rendered {
     /// Byte-exact contents of the results file.
     pub text: String,
@@ -378,7 +378,7 @@ pub fn golden_path(e: &Experiment, scale: Scale) -> String {
 // render helpers (byte-compatible with the old serial binaries)
 // ---------------------------------------------------------------------
 
-/// The figure-header banner, exactly as the `fig*` binaries print it.
+/// The figure-header banner, exactly as the results files carry it.
 pub fn banner(fig: &str, caption: &str) -> String {
     format!(
         "==================================================================\n\

@@ -121,7 +121,7 @@ impl Series {
     }
 
     /// Render a set of series that share x values as an aligned text
-    /// table, one row per x — the exact format the `fig*` binaries print.
+    /// table, one row per x — the exact format of the results files.
     pub fn table(series: &[Series], x_label: &str) -> String {
         let mut out = String::new();
         out.push_str(&format!("{:>12}", x_label));

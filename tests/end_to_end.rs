@@ -238,3 +238,169 @@ fn unexpected_messages_are_buffered_and_adopted() {
         assert!(d.iter().all(|&b| b == tag), "adopted payload intact");
     }
 }
+
+/// One sender posts `msgs` (all with match information 7) at t = 0;
+/// the receiver computes for `delay`, then posts one 64 KiB receive per
+/// message. Returns what each receive got, in post order (`None`: it
+/// never completed), and the receiver's `counters.unexpected`.
+fn late_receives(
+    cfg: OmxConfig,
+    msgs: &[Vec<u8>],
+    delay: openmx_repro::sim::Ps,
+) -> (Vec<Option<Vec<u8>>>, u64) {
+    use openmx_repro::omx::app::{App, AppCtx, Completion};
+    use openmx_repro::omx::cluster::Cluster;
+    use openmx_repro::omx::{EpAddr, EpIdx, NodeId, ReqId};
+    use openmx_repro::sim::{Ps, Sim};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    type Got = Rc<RefCell<Vec<(ReqId, Option<Vec<u8>>)>>>;
+    struct Receiver {
+        n: usize,
+        delay: Ps,
+        got: Got,
+    }
+    impl App for Receiver {
+        fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
+            ctx.compute(self.delay);
+            for _ in 0..self.n {
+                let req = ctx.irecv(7, u64::MAX, 64 << 10, None);
+                self.got.borrow_mut().push((req, None));
+            }
+        }
+        fn on_completion(&mut self, _ctx: &mut AppCtx<'_>, comp: Completion) {
+            if let Completion::Recv { req, data, .. } = comp {
+                let mut got = self.got.borrow_mut();
+                let slot = got.iter_mut().find(|(r, _)| *r == req).expect("posted");
+                slot.1 = Some(data);
+            }
+        }
+    }
+    struct Sender {
+        peer: EpAddr,
+        msgs: Vec<Vec<u8>>,
+    }
+    impl App for Sender {
+        fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
+            for m in self.msgs.drain(..) {
+                ctx.isend(self.peer, 7, m, None);
+            }
+        }
+        fn on_completion(&mut self, _ctx: &mut AppCtx<'_>, _c: Completion) {}
+    }
+
+    let got: Got = Rc::new(RefCell::new(Vec::new()));
+    let mut cluster = Cluster::new(ClusterParams::with_cfg(cfg));
+    let mut sim: Sim<Cluster> = Sim::new();
+    let peer = EpAddr {
+        node: NodeId(1),
+        ep: EpIdx(0),
+    };
+    let sender = Sender {
+        peer,
+        msgs: msgs.to_vec(),
+    };
+    cluster.add_endpoint(NodeId(0), CoreId(2), Box::new(sender));
+    let receiver = Receiver {
+        n: msgs.len(),
+        delay,
+        got: got.clone(),
+    };
+    cluster.add_endpoint(NodeId(1), CoreId(2), Box::new(receiver));
+    cluster.start(&mut sim);
+    sim.run(&mut cluster);
+    let unexpected = cluster.ep(peer).counters.unexpected;
+    let got = got.borrow().iter().map(|(_, d)| d.clone()).collect();
+    (got, unexpected)
+}
+
+fn kmatch_cfg() -> OmxConfig {
+    OmxConfig {
+        kernel_matching: true,
+        ..OmxConfig::default()
+    }
+}
+
+fn mx_cfg() -> OmxConfig {
+    OmxConfig {
+        stack: StackKind::Mxoe,
+        ..OmxConfig::default()
+    }
+}
+
+/// What went wrong with one receive, if anything (a short message:
+/// payloads run to kilobytes).
+fn mismatch(got: &Option<Vec<u8>>, want: &[u8]) -> Option<String> {
+    match got {
+        None => Some("never completed".to_string()),
+        Some(d) if d[..] != *want => Some(format!("got {} B starting {:?}", d.len(), d.first())),
+        Some(_) => None,
+    }
+}
+
+/// An unexpected medium must not be overtaken by a later message from
+/// the same sender with the same match information: the first-posted
+/// receive gets the first-sent message, under library matching,
+/// kernel matching (medium then tiny) and MXoE (medium then large).
+#[test]
+fn unexpected_medium_is_not_overtaken_by_a_later_message() {
+    use openmx_repro::sim::Ps;
+    let medium = vec![1u8; 1000];
+    let cases = [
+        ("library", OmxConfig::default(), vec![2u8; 16], Ps::us(500)),
+        ("kernel matching", kmatch_cfg(), vec![2u8; 16], Ps::us(500)),
+        ("MXoE", mx_cfg(), vec![2u8; 64 << 10], Ps::us(2000)),
+    ];
+    let mut failures = Vec::new();
+    for (name, cfg, second, delay) in cases {
+        let (got, _) = late_receives(cfg, &[medium.clone(), second.clone()], delay);
+        for (i, want) in [&medium, &second].into_iter().enumerate() {
+            if let Some(m) = mismatch(&got[i], want) {
+                failures.push(format!("{name}: receive {i}: {m}"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// Under kernel matching, a receive posted while an unexpected 16 KiB
+/// medium is still arriving adopts it mid-assembly and completes with
+/// the right bytes, whatever the posting delay.
+#[test]
+fn kernel_matching_adopts_a_medium_still_arriving() {
+    use openmx_repro::sim::Ps;
+    let msg: Vec<u8> = (0..16 << 10).map(|i| (i % 251) as u8).collect();
+    let mut failures = Vec::new();
+    for half_us in 0..=80u64 {
+        let delay = Ps::ns(half_us * 500);
+        let (got, _) = late_receives(kmatch_cfg(), std::slice::from_ref(&msg), delay);
+        if let Some(m) = mismatch(&got[0], &msg) {
+            failures.push(format!("posted at {delay:?}: {m}"));
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// Every unmatched eager message counts once in `counters.unexpected`
+/// — a multi-fragment medium included — on all three eager paths.
+#[test]
+fn an_unexpected_medium_counts_once() {
+    use openmx_repro::sim::Ps;
+    let msg = vec![3u8; 16 << 10];
+    let mut failures = Vec::new();
+    for (name, cfg) in [
+        ("library", OmxConfig::default()),
+        ("kernel matching", kmatch_cfg()),
+        ("MXoE", mx_cfg()),
+    ] {
+        let (got, unexpected) = late_receives(cfg, std::slice::from_ref(&msg), Ps::us(500));
+        if let Some(m) = mismatch(&got[0], &msg) {
+            failures.push(format!("{name}: {m}"));
+        }
+        if unexpected != 1 {
+            failures.push(format!("{name}: counted {unexpected} times"));
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
+}
